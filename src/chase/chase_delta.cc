@@ -1,12 +1,11 @@
 #include "chase/chase_delta.h"
 
-#include <string>
+#include <vector>
 
-#include "chase/fire_plan.h"
+#include "chase/chase_driver.h"
 #include "engine/failpoint.h"
 #include "engine/trace.h"
 #include "eval/hom.h"
-#include "eval/hom_plan.h"
 
 namespace mapinv {
 
@@ -21,8 +20,6 @@ Result<bool> ChaseDelta(const TgdMapping& mapping, const Instance& source,
                         const ExecutionOptions& options) {
   ScopedTraceSpan span(options, "chase_delta");
   MAPINV_FAILPOINT(fp_delta_entry);
-  ExecDeadline entry_deadline(options.deadline_ms);
-  const ExecDeadline& deadline = CarriedDeadline(options, entry_deadline);
   // The fresh-null scope must clear the appended source rows *and* the nulls
   // the base chase already placed in the target: an engine-scoped context
   // that restarted at zero would otherwise mint labels colliding with the
@@ -39,234 +36,35 @@ Result<bool> ChaseDelta(const TgdMapping& mapping, const Instance& source,
     target->SetMemoryBudget(options.memory_budget_bytes, options.spill_dir,
                             options.stats);
   }
-  HomSearch search(source);
-  search.set_stats(options.stats);
-  search.set_vector_max_plan_steps(options.vector_max_plan_steps);
   HomSearch target_search(*target);
   target_search.set_stats(options.stats);
   target_search.set_vector_max_plan_steps(options.vector_max_plan_steps);
-  size_t created = 0;
-  std::vector<Value> fresh;    // per-firing nulls, one per existential var
-  std::vector<Value> scratch;  // reused row buffer for AddRow
-  // Degradation mirrors ChaseTgds at whole-trigger granularity, with one
-  // extra obligation: an incomplete absorption must be reported, because a
-  // caller that advanced its watermark over a half-fired delta would lose
-  // the unfired triggers forever. `degraded` feeds the return value.
-  bool degraded = false;
-  for (size_t tgd_index = 0; tgd_index < mapping.tgds.size(); ++tgd_index) {
-    const Tgd& tgd = mapping.tgds[tgd_index];
-    // Delta triggers only: premise homomorphisms whose image touches at
-    // least one row appended past `base`. Firing cannot create new ones
-    // (conclusions land in the target; premises read the source), so one
-    // pass per tgd is complete, exactly as in the full chase.
-    TriggerBatch triggers;
-    {
-      ScopedTraceSpan collect_span(options, "collect_triggers_delta");
-      Result<TriggerBatch> collected =
-          CollectTriggersDelta(search, source, tgd.premise, HomConstraints{},
-                               base, options, deadline);
-      if (!collected.ok()) {
-        if (DegradeToPartial(options, collected.status())) {
-          degraded = true;
-          break;
-        }
-        return collected.status();
-      }
-      triggers = std::move(collected).ValueOrDie();
-    }
-    ScopedTraceSpan fire_span(options, "fire");
-    const std::vector<VarId> frontier_vars = tgd.FrontierVars();
-    const std::vector<VarId> existential_vars = tgd.ExistentialVars();
-    MAPINV_ASSIGN_OR_RETURN(
-        const std::vector<FireAtomCols> fire_atoms,
-        CompileFireAtomsCols(tgd.conclusion, target->schema(),
-                             existential_vars, triggers.vars));
-    const size_t num_ex = existential_vars.size();
-    // Bulk eligibility as in ChaseTgds: AddRows' batch dedup subsumes the
-    // per-trigger satisfaction probe for existential-free conclusions, and
-    // the oblivious chase never probes. Provenance comes from the AddRows
-    // added-flags (each new row's dense ref is reconstructed from the
-    // post-append row count), so the bulk path records exactly the rows the
-    // per-trigger loop would.
-    const bool bulk = options.vectorized && options.vector_batch > 0 &&
-                      (options.oblivious || num_ex == 0);
-    std::shared_ptr<const HomPlan> conclusion_plan;
-    std::vector<size_t> frontier_cols;  // fixed_vars -> trigger columns
-    if (!options.oblivious && !bulk && triggers.rows > 0) {
-      MAPINV_ASSIGN_OR_RETURN(
-          conclusion_plan,
-          target_search.GetPlanForVars(tgd.conclusion, HomConstraints{},
-                                       frontier_vars));
-      frontier_cols.reserve(conclusion_plan->fixed_vars.size());
-      for (VarId v : conclusion_plan->fixed_vars) {
-        frontier_cols.push_back(triggers.ColumnOf(v));
-      }
-    }
-    bool cut_short = false;
-    if (bulk) {
-      const size_t fire_batch = options.vector_batch;
-      BulkFireScratch bulk_scratch =
-          MakeBulkFireScratch(fire_atoms, target->schema());
-      std::vector<Value> fresh_batch;  // num_ex nulls per trigger, in order
-      auto record = [&](RelationId rel, TupleRef ref, uint32_t) {
+  std::vector<Value> fresh;  // per-firing nulls, one per existential var
+  // Delta triggers only: premise homomorphisms whose image touches at least
+  // one row appended past `base`. Firing cannot create new ones
+  // (conclusions land in the target; premises read the source), so one pass
+  // per tgd is complete, exactly as in the full chase. Degradation is the
+  // full chase's, with one extra obligation: an incomplete absorption is
+  // reported (RunChase's false), because a caller that advanced its
+  // watermark over a half-fired delta would lose the unfired triggers.
+  return RunChase(
+      ChaseSite{"chase_delta", "collect_triggers_delta", &fp_delta_fire},
+      mapping.tgds.size(), source, target, options,
+      [&](size_t i, const HomSearch& search, const ExecDeadline& deadline) {
+        return CollectTriggersDelta(search, source, mapping.tgds[i].premise,
+                                    HomConstraints{}, base, options,
+                                    deadline);
+      },
+      [&](size_t i, const TriggerBatch& triggers) {
+        return TgdConclusion::Compile(mapping.tgds[i], triggers,
+                                      target->schema(), target_search, symbols,
+                                      &fresh, options.oblivious);
+      },
+      [&](size_t i, RelationId relation, TupleRef ref) {
         if (provenance != nullptr) {
-          provenance->Record(rel, ref, static_cast<uint32_t>(tgd_index));
+          provenance->Record(relation, ref, static_cast<uint32_t>(i));
         }
-      };
-      for (size_t base_t = 0; base_t < triggers.rows && !cut_short;
-           base_t += fire_batch) {
-        const size_t bcount = std::min(fire_batch, triggers.rows - base_t);
-        if (Status poll = PollPhaseInterrupt(options, deadline, "chase_delta");
-            !poll.ok()) {
-          if (DegradeToPartial(options, poll)) {
-            cut_short = true;
-            break;
-          }
-          return poll;
-        }
-        MAPINV_FAILPOINT(fp_delta_fire);
-        if (created + bcount * fire_atoms.size() > options.max_new_facts) {
-          // Budget-edge fallback, per trigger and exact (see ChaseTgds).
-          for (size_t t = base_t; t < base_t + bcount; ++t) {
-            const Value* row = triggers.Row(t);
-            fresh.clear();
-            for (size_t i = 0; i < num_ex; ++i) {
-              fresh.push_back(Value::FreshNull(symbols));
-            }
-            bool any_added = false;
-            for (const FireAtomCols& fa : fire_atoms) {
-              BuildFireRowCols(fa, row, fresh.data(), &scratch);
-              MAPINV_ASSIGN_OR_RETURN(bool added,
-                                      target->AddRow(fa.relation, scratch));
-              if (added) {
-                ++created;
-                any_added = true;
-                record(fa.relation,
-                       static_cast<TupleRef>(target->NumRows(fa.relation) - 1),
-                       0);
-              }
-            }
-            if ((options.oblivious || any_added) && options.stats != nullptr) {
-              options.stats->chase_steps.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            }
-            if (created > options.max_new_facts) {
-              Status exhausted =
-                  PhaseExhausted("chase_delta",
-                                 "exceeded max_new_facts = " +
-                                     std::to_string(options.max_new_facts));
-              if (DegradeToPartial(options, exhausted)) {
-                cut_short = true;
-                break;
-              }
-              return exhausted;
-            }
-          }
-          continue;
-        }
-        bulk_scratch.BeginBatch(bcount);
-        fresh_batch.clear();
-        for (size_t i = 0; i < bcount * num_ex; ++i) {
-          fresh_batch.push_back(Value::FreshNull(symbols));
-        }
-        for (size_t t = 0; t < bcount; ++t) {
-          const Value* row = triggers.Row(base_t + t);
-          const Value* tf = fresh_batch.data() + t * num_ex;
-          for (size_t ai = 0; ai < fire_atoms.size(); ++ai) {
-            BuildFireRowCols(fire_atoms[ai], row, tf, &scratch);
-            bulk_scratch.Append(bulk_scratch.atom_buf[ai],
-                                static_cast<uint32_t>(t), scratch.data());
-          }
-        }
-        MAPINV_ASSIGN_OR_RETURN(size_t inserted,
-                                FlushBulkFire(target, &bulk_scratch, record));
-        created += inserted;
-        if (options.stats != nullptr) {
-          options.stats->bulk_rows_appended.fetch_add(
-              inserted, std::memory_order_relaxed);
-          uint64_t steps = 0;
-          if (options.oblivious) {
-            steps = bcount;
-          } else {
-            for (uint8_t f : bulk_scratch.fired) steps += f;
-          }
-          options.stats->chase_steps.fetch_add(steps,
-                                               std::memory_order_relaxed);
-        }
-      }
-      if (cut_short) {
-        degraded = true;
-        break;
-      }
-      continue;
-    }
-    std::vector<Value> frontier_values;  // ordered as conclusion_plan demands
-    for (size_t t = 0; t < triggers.rows; ++t) {
-      if (Status poll = PollPhaseInterrupt(options, deadline, "chase_delta");
-          !poll.ok()) {
-        if (DegradeToPartial(options, poll)) {
-          cut_short = true;
-          break;
-        }
-        return poll;
-      }
-      MAPINV_FAILPOINT(fp_delta_fire);
-      const Value* row = triggers.Row(t);
-      if (!options.oblivious) {
-        frontier_values.clear();
-        for (size_t col : frontier_cols) frontier_values.push_back(row[col]);
-        MAPINV_ASSIGN_OR_RETURN(
-            bool satisfied,
-            target_search.ExistsHomWithPlanValues(*conclusion_plan,
-                                                  frontier_values));
-        if (satisfied) continue;
-      }
-      fresh.clear();
-      for (size_t i = 0; i < num_ex; ++i) {
-        fresh.push_back(Value::FreshNull(symbols));
-      }
-      if (options.stats != nullptr) {
-        options.stats->chase_steps.fetch_add(1, std::memory_order_relaxed);
-      }
-      for (const FireAtomCols& fa : fire_atoms) {
-        BuildFireRowCols(fa, row, fresh.data(), &scratch);
-        MAPINV_ASSIGN_OR_RETURN(bool added,
-                                target->AddRow(fa.relation, scratch));
-        if (added) {
-          ++created;
-          if (provenance != nullptr) {
-            // AddRow appends, so the new row's dense ref is the last one.
-            provenance->Record(
-                fa.relation,
-                static_cast<TupleRef>(target->NumRows(fa.relation) - 1),
-                static_cast<uint32_t>(tgd_index));
-          }
-        }
-      }
-      // Whole-trigger granularity, as in ChaseTgds: a partial stop never
-      // leaves a half-fired conclusion.
-      if (created > options.max_new_facts) {
-        Status exhausted =
-            PhaseExhausted("chase_delta",
-                           "exceeded max_new_facts = " +
-                               std::to_string(options.max_new_facts));
-        if (DegradeToPartial(options, exhausted)) {
-          cut_short = true;
-          break;
-        }
-        return exhausted;
-      }
-    }
-    if (cut_short) {
-      degraded = true;
-      break;
-    }
-  }
-  if (options.stats != nullptr) {
-    options.stats->ObserveArenaBytes(target->ArenaBytes());
-    options.stats->ObserveResidentBytes(target->ResidentBytes());
-  }
-  return !degraded;
+      });
 }
 
 }  // namespace mapinv

@@ -1,22 +1,16 @@
 /// \file fire_plan.h
 /// \brief Precompiled conclusion atoms for the chase fire loops.
 ///
-/// Firing a trigger used to resolve every conclusion atom's relation by name
-/// (an interner lookup plus a schema hash probe per fired fact) and to copy
-/// the whole trigger assignment into an extended hash map before building
-/// each tuple. This helper compiles a conclusion once per dependency:
-/// relations resolve to RelationIds up front, and every term is classified
-/// as constant / premise-bound variable / existential (by index into the
-/// dependency's existential-variable list). The fire loop then assembles
-/// rows into a reused scratch buffer and appends them with Instance::AddRow
-/// — no strings, no hash-map copies, no per-tuple allocation.
-///
-/// The column-indexed variants (FireAtomCols / BuildFireRowCols) read the
-/// trigger straight out of a TriggerBatch row instead of an Assignment hash
-/// map, and BulkFireScratch buffers a whole batch of assembled conclusion
-/// rows per relation so the chase appends them with one Instance::AddRows
-/// dedup pass per relation per batch — the bulk fire path behind
-/// ExecutionOptions::vectorized.
+/// A conclusion is compiled once per dependency: relations resolve to
+/// RelationIds up front, and every term is classified as constant /
+/// premise-bound variable (a column of the TriggerBatch row) / existential
+/// (by index into the dependency's existential-variable list). The fire
+/// loop then assembles rows into a reused scratch buffer and appends them
+/// with Instance::AddRow — no strings, no hash maps, no per-tuple
+/// allocation. BulkFireScratch buffers a whole batch of assembled
+/// conclusion rows per relation so the chase appends them with one
+/// Instance::AddRows dedup pass per relation per batch — the bulk fire path
+/// behind ExecutionOptions::vectorized (see chase/chase_driver.h).
 
 #ifndef MAPINV_CHASE_FIRE_PLAN_H_
 #define MAPINV_CHASE_FIRE_PLAN_H_
@@ -27,87 +21,12 @@
 
 #include "base/status.h"
 #include "data/instance.h"
-#include "eval/hom.h"
 #include "logic/atom.h"
 
 namespace mapinv {
 
-/// One compiled conclusion term.
-struct FireTerm {
-  enum class Kind { kConstant, kBound, kExistential } kind;
-  Value constant;   // kConstant
-  VarId var = 0;    // kBound: key into the trigger assignment
-  uint32_t ex = 0;  // kExistential: index into the per-firing fresh nulls
-};
-
-/// One compiled conclusion atom.
-struct FireAtom {
-  RelationId relation;
-  std::vector<FireTerm> terms;
-};
-
-/// Compiles `atoms` against `schema`. Variables in `existential_vars` become
-/// kExistential terms indexed by their position in that list; every other
-/// variable is kBound (looked up in the trigger assignment at fire time).
-inline Result<std::vector<FireAtom>> CompileFireAtoms(
-    const std::vector<Atom>& atoms, const Schema& schema,
-    const std::vector<VarId>& existential_vars) {
-  std::unordered_map<VarId, uint32_t> ex_index;
-  for (uint32_t i = 0; i < existential_vars.size(); ++i) {
-    ex_index.emplace(existential_vars[i], i);
-  }
-  std::vector<FireAtom> out;
-  out.reserve(atoms.size());
-  for (const Atom& atom : atoms) {
-    FireAtom fa;
-    MAPINV_ASSIGN_OR_RETURN(fa.relation,
-                            schema.Require(RelationText(atom.relation)));
-    fa.terms.reserve(atom.terms.size());
-    for (const Term& term : atom.terms) {
-      FireTerm ft;
-      if (term.is_constant()) {
-        ft.kind = FireTerm::Kind::kConstant;
-        ft.constant = term.value();
-      } else {
-        auto it = ex_index.find(term.var());
-        if (it != ex_index.end()) {
-          ft.kind = FireTerm::Kind::kExistential;
-          ft.ex = it->second;
-        } else {
-          ft.kind = FireTerm::Kind::kBound;
-          ft.var = term.var();
-        }
-      }
-      fa.terms.push_back(ft);
-    }
-    out.push_back(std::move(fa));
-  }
-  return out;
-}
-
-/// Assembles one compiled atom's row into `scratch` from the trigger
-/// assignment `h` and the per-firing `fresh` nulls.
-inline void BuildFireRow(const FireAtom& fa, const Assignment& h,
-                         const std::vector<Value>& fresh,
-                         std::vector<Value>* scratch) {
-  scratch->clear();
-  for (const FireTerm& ft : fa.terms) {
-    switch (ft.kind) {
-      case FireTerm::Kind::kConstant:
-        scratch->push_back(ft.constant);
-        break;
-      case FireTerm::Kind::kBound:
-        scratch->push_back(h.at(ft.var));
-        break;
-      case FireTerm::Kind::kExistential:
-        scratch->push_back(fresh[ft.ex]);
-        break;
-    }
-  }
-}
-
-/// One compiled conclusion term, column-indexed: bound variables resolve to
-/// a column of the trigger row instead of a hash-map key.
+/// One compiled conclusion term: bound variables resolve to a column of the
+/// trigger row.
 struct FireTermCol {
   enum class Kind { kConstant, kBound, kExistential } kind;
   Value constant;    // kConstant
@@ -232,14 +151,16 @@ struct BulkFireScratch {
   }
 };
 
-/// Builds the per-relation buffers for conclusion atoms resolved to
-/// `relations` (one buffer per distinct relation, in first-appearance
-/// order) — the SO chase resolves relations itself, so it passes ids.
-inline BulkFireScratch MakeBulkFireScratch(
-    const std::vector<RelationId>& relations, const Schema& schema) {
+/// Builds the per-relation buffers for a conclusion evaluator's atoms (one
+/// buffer per distinct relation, in first-appearance order; see
+/// ColumnConclusion in chase/chase_driver.h for the interface).
+template <typename Conclusion>
+BulkFireScratch MakeBulkFireScratch(const Conclusion& conclusion,
+                                    const Schema& schema) {
   BulkFireScratch s;
-  s.atom_buf.reserve(relations.size());
-  for (RelationId rel : relations) {
+  s.atom_buf.reserve(conclusion.size());
+  for (size_t i = 0; i < conclusion.size(); ++i) {
+    const RelationId rel = conclusion.relation(i);
     size_t b = 0;
     for (; b < s.bufs.size(); ++b) {
       if (s.bufs[b].relation == rel) break;
@@ -253,16 +174,6 @@ inline BulkFireScratch MakeBulkFireScratch(
     s.atom_buf.push_back(b);
   }
   return s;
-}
-
-/// Builds the per-relation buffers for `atoms` (one buffer per distinct
-/// conclusion relation, in first-appearance order).
-inline BulkFireScratch MakeBulkFireScratch(const std::vector<FireAtomCols>& atoms,
-                                           const Schema& schema) {
-  std::vector<RelationId> relations;
-  relations.reserve(atoms.size());
-  for (const FireAtomCols& fa : atoms) relations.push_back(fa.relation);
-  return MakeBulkFireScratch(relations, schema);
 }
 
 /// Appends every buffered row into `target` (one AddRows per relation, with
