@@ -36,9 +36,6 @@ Result<bool> ChaseDelta(const TgdMapping& mapping, const Instance& source,
     target->SetMemoryBudget(options.memory_budget_bytes, options.spill_dir,
                             options.stats);
   }
-  HomSearch target_search(*target);
-  target_search.set_stats(options.stats);
-  target_search.set_vector_max_plan_steps(options.vector_max_plan_steps);
   std::vector<Value> fresh;  // per-firing nulls, one per existential var
   // Delta triggers only: premise homomorphisms whose image touches at least
   // one row appended past `base`. Firing cannot create new ones
@@ -56,9 +53,9 @@ Result<bool> ChaseDelta(const TgdMapping& mapping, const Instance& source,
                                     deadline);
       },
       [&](size_t i, const TriggerBatch& triggers) {
-        return TgdConclusion::Compile(mapping.tgds[i], triggers,
-                                      target->schema(), target_search, symbols,
-                                      &fresh, options.oblivious);
+        return TgdConclusion::Compile(mapping.tgds[i], triggers, *target,
+                                      options.stats, symbols, &fresh,
+                                      options.oblivious);
       },
       [&](size_t i, RelationId relation, TupleRef ref) {
         if (provenance != nullptr) {

@@ -58,17 +58,40 @@ struct ChaseSite {
 };
 
 /// \brief A compiled satisfaction check: does a conclusion already map into
-/// an instance with the trigger's values bound to `fixed_vars`? The plan is
-/// instance-independent, so one probe serves every world of the reverse
+/// an instance with the trigger's values bound to `fixed_vars`? The probe
+/// is instance-independent, so one probe serves every world of the reverse
 /// chase.
+///
+/// A ground conclusion — every variable fixed — has exactly one candidate
+/// image, the rows the trigger would fire, so the homomorphism exists iff
+/// each of those rows is already a fact: one dedup lookup per atom
+/// (Instance::ContainsRow; a 0-ary atom holds iff its relation is
+/// non-empty), no join plan and no value index. Any other conclusion runs
+/// its compiled HomPlan.
 struct SatisfactionProbe {
-  std::shared_ptr<const HomPlan> plan;
+  std::vector<FireAtomCols> ground_atoms;  ///< the atoms, when ground
+  std::shared_ptr<const HomPlan> plan;  ///< null when ground
   std::vector<size_t> fixed_cols;  ///< plan->fixed_vars as trigger columns
 
+  /// `world` supplies the schema and, for a non-ground conclusion, the
+  /// relation sizes the plan's join order is chosen by; `stats` (may be
+  /// null) counts the plan compile.
   static Result<SatisfactionProbe> Compile(
-      const HomSearch& search, const std::vector<Atom>& atoms,
+      const Instance& world, ExecStats* stats, const std::vector<Atom>& atoms,
       std::vector<VarId> fixed_vars, const std::vector<VarId>& trigger_vars) {
     SatisfactionProbe probe;
+    std::sort(fixed_vars.begin(), fixed_vars.end());
+    const std::vector<VarId> vars = CollectDistinctVars(atoms);
+    if (std::all_of(vars.begin(), vars.end(), [&](VarId v) {
+          return std::binary_search(fixed_vars.begin(), fixed_vars.end(), v);
+        })) {
+      MAPINV_ASSIGN_OR_RETURN(
+          probe.ground_atoms,
+          CompileFireAtomsCols(atoms, world.schema(), {}, trigger_vars));
+      return probe;
+    }
+    HomSearch search(world);
+    search.set_stats(stats);
     MAPINV_ASSIGN_OR_RETURN(
         probe.plan, search.GetPlanForVars(atoms, HomConstraints{},
                                           std::move(fixed_vars)));
@@ -81,11 +104,24 @@ struct SatisfactionProbe {
     return probe;
   }
 
-  /// `values` is a reused buffer for the fixed values.
-  Result<bool> Holds(const HomSearch& search, const Value* row,
+  bool is_ground() const { return plan == nullptr; }
+
+  /// Whether the conclusion holds in `world` under trigger `row`. `values`
+  /// is a reused row / fixed-value buffer; `stats` (may be null) counts the
+  /// hom search of a non-ground probe.
+  Result<bool> Holds(const Instance& world, ExecStats* stats, const Value* row,
                      std::vector<Value>* values) const {
+    if (is_ground()) {
+      for (const FireAtomCols& atom : ground_atoms) {
+        BuildFireRowCols(atom, row, nullptr, values);
+        if (!world.ContainsRow(atom.relation, *values)) return false;
+      }
+      return true;
+    }
     values->clear();
     for (size_t col : fixed_cols) values->push_back(row[col]);
+    HomSearch search(world);
+    search.set_stats(stats);
     return search.ExistsHomWithPlanValues(*plan, *values);
   }
 };
@@ -146,43 +182,47 @@ class TgdConclusion : public ColumnConclusion {
  public:
   static Result<TgdConclusion> Compile(const Tgd& tgd,
                                        const TriggerBatch& triggers,
-                                       const Schema& target_schema,
-                                       const HomSearch& target_search,
+                                       const Instance& target,
+                                       ExecStats* stats,
                                        SymbolContext& symbols,
                                        std::vector<Value>* fresh,
                                        bool oblivious) {
     const std::vector<VarId> existential_vars = tgd.ExistentialVars();
     MAPINV_ASSIGN_OR_RETURN(
         std::vector<FireAtomCols> atoms,
-        CompileFireAtomsCols(tgd.conclusion, target_schema, existential_vars,
+        CompileFireAtomsCols(tgd.conclusion, target.schema(), existential_vars,
                              triggers.vars));
     return TgdConclusion(
         ColumnConclusion(std::move(atoms), existential_vars.size(), symbols,
                          fresh),
-        oblivious ? nullptr : &tgd, target_search);
+        oblivious ? nullptr : &tgd, target, stats);
   }
 
   bool restricted() const { return tgd_ != nullptr; }
 
   Status PrepareProbe(const std::vector<VarId>& trigger_vars) {
     MAPINV_ASSIGN_OR_RETURN(
-        probe_, SatisfactionProbe::Compile(*search_, tgd_->conclusion,
+        probe_, SatisfactionProbe::Compile(*target_, stats_, tgd_->conclusion,
                                            tgd_->FrontierVars(),
                                            trigger_vars));
     return Status::OK();
   }
 
   Result<bool> Satisfied(const Value* row) {
-    return probe_.Holds(*search_, row, &probe_values_);
+    return probe_.Holds(*target_, stats_, row, &probe_values_);
   }
 
  private:
-  TgdConclusion(ColumnConclusion fire, const Tgd* tgd,
-                const HomSearch& search)
-      : ColumnConclusion(std::move(fire)), tgd_(tgd), search_(&search) {}
+  TgdConclusion(ColumnConclusion fire, const Tgd* tgd, const Instance& target,
+                ExecStats* stats)
+      : ColumnConclusion(std::move(fire)),
+        tgd_(tgd),
+        target_(&target),
+        stats_(stats) {}
 
   const Tgd* tgd_;  // null in the oblivious chase
-  const HomSearch* search_;
+  const Instance* target_;
+  ExecStats* stats_;
   SatisfactionProbe probe_;
   std::vector<Value> probe_values_;
 };

@@ -1,7 +1,6 @@
 #include "chase/chase_reverse.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -12,7 +11,6 @@
 #include "engine/parallel_chase.h"
 #include "engine/trace.h"
 #include "eval/hom.h"
-#include "eval/hom_plan.h"
 #include "job/job.h"
 
 namespace mapinv {
@@ -36,38 +34,12 @@ bool EqualitiesHold(const ReverseDisjunct& disjunct, const TriggerBatch& batch,
   return true;
 }
 
-// One chase world: a heap-stable instance plus a search over it. Forking a
-// world is a copy-on-write snapshot — the fork shares every relation store
-// (arena, dedup table, value index) with its parent until one of them
-// writes, so linear lineages never copy tuples and branching copies only
-// the relations a branch actually extends. The fresh HomSearch is free: the
-// indexes it reads are owned by the (shared) instance stores.
-struct WorldState {
-  std::unique_ptr<Instance> instance;
-  std::unique_ptr<HomSearch> search;
-  ExecStats* stats = nullptr;
-
-  WorldState(Instance inst, ExecStats* stats_sink)
-      : instance(std::make_unique<Instance>(std::move(inst))),
-        search(std::make_unique<HomSearch>(*instance)),
-        stats(stats_sink) {
-    search->set_stats(stats);
-  }
-
-  WorldState Fork() const {
-    if (stats != nullptr) {
-      stats->worlds_forked.fetch_add(1, std::memory_order_relaxed);
-    }
-    return WorldState(instance->Fork(), stats);
-  }
-};
-
 // Per-disjunct execution state, compiled once per dependency and shared by
 // every world and every trigger:
 //   * probe — the satisfaction check with the disjunct's premise-bound
-//     variables fixed (compiled once, run on any world: plans are
-//     instance-independent, and per-world plan caches would recompile it
-//     per fork); absent in the oblivious chase,
+//     variables fixed (compiled once, run on any world: probes are
+//     instance-independent); a ground disjunct's probe is a dedup lookup
+//     per atom; absent in the oblivious chase,
 //   * fire  — the conclusion atoms, column-compiled; the remaining disjunct
 //     variables get fresh nulls in first-occurrence order when firing.
 struct DisjunctExec {
@@ -78,7 +50,8 @@ struct DisjunctExec {
 Result<DisjunctExec> CompileDisjunct(const ReverseDisjunct& disjunct,
                                      const std::vector<VarId>& premise_vars,
                                      const std::vector<VarId>& trigger_vars,
-                                     const WorldState& seed_world,
+                                     const Instance& seed_world,
+                                     ExecStats* stats,
                                      const Schema& target_schema,
                                      bool oblivious, SymbolContext& symbols,
                                      std::vector<Value>* fresh) {
@@ -96,7 +69,7 @@ Result<DisjunctExec> CompileDisjunct(const ReverseDisjunct& disjunct,
   SatisfactionProbe probe;
   if (!oblivious) {
     MAPINV_ASSIGN_OR_RETURN(
-        probe, SatisfactionProbe::Compile(*seed_world.search, disjunct.atoms,
+        probe, SatisfactionProbe::Compile(seed_world, stats, disjunct.atoms,
                                           std::move(shared_vars),
                                           trigger_vars));
   }
@@ -125,8 +98,12 @@ Result<std::vector<Instance>> ChaseReverseWorlds(const ReverseMapping& mapping,
   SymbolContext& symbols = ResolveSymbols(options, input);
   HomSearch search(input);
   search.set_stats(options.stats);
-  std::vector<WorldState> worlds;
-  worlds.emplace_back(Instance(mapping.target), options.stats);
+  // Forking a world is a copy-on-write snapshot: the fork shares every
+  // relation store with its parent until one of them writes, so linear
+  // lineages never copy tuples and branching copies only the relations a
+  // branch actually extends.
+  std::vector<Instance> worlds;
+  worlds.emplace_back(mapping.target);
   size_t created = 0;
   // Checkpointed-job state (see src/job/job.h). The fingerprint binds the
   // job directory to these exact inputs; the cursor names the first
@@ -154,7 +131,7 @@ Result<std::vector<Instance>> ChaseReverseWorlds(const ReverseMapping& mapping,
       for (const std::string& image : state.world_images) {
         MAPINV_ASSIGN_OR_RETURN(
             Instance world, Instance::LoadFromBytes(image.data(), image.size()));
-        worlds.emplace_back(std::move(world), options.stats);
+        worlds.push_back(std::move(world));
       }
       created = static_cast<size_t>(state.manifest.created);
       resume_dep = state.manifest.dep_index;
@@ -185,9 +162,7 @@ Result<std::vector<Instance>> ChaseReverseWorlds(const ReverseMapping& mapping,
     if (!job.has_value()) return Status::OK();
     std::vector<std::string> images;
     images.reserve(worlds.size());
-    for (const WorldState& world : worlds) {
-      images.push_back(world.instance->SaveToBytes());
-    }
+    for (const Instance& world : worlds) images.push_back(world.SaveToBytes());
     JobManifest manifest;
     manifest.complete = complete;
     manifest.dep_index = static_cast<uint32_t>(dep_index);
@@ -199,6 +174,11 @@ Result<std::vector<Instance>> ChaseReverseWorlds(const ReverseMapping& mapping,
   };
   std::vector<Value> fresh;
   std::vector<Value> scratch;
+  std::vector<Value> probe_values;
+  // Per-trigger buffers, reused across triggers: the disjuncts whose
+  // equalities the trigger satisfies, and the frontier under construction.
+  std::vector<size_t> applicable;
+  std::vector<Instance> next;
   // In kPartial mode exhaustion degrades at whole-trigger granularity: every
   // world finishes the current trigger before the run stops, so the returned
   // worlds are exactly the chase of a trigger-list prefix (no world has a
@@ -227,8 +207,8 @@ Result<std::vector<Instance>> ChaseReverseWorlds(const ReverseMapping& mapping,
       MAPINV_ASSIGN_OR_RETURN(
           DisjunctExec exec,
           CompileDisjunct(d, premise_vars, trigger_vars, worlds.front(),
-                          *mapping.target, options.oblivious, symbols,
-                          &fresh));
+                          options.stats, *mapping.target, options.oblivious,
+                          symbols, &fresh));
       disjunct_exec.push_back(std::move(exec));
     }
     TriggerBatch triggers;
@@ -243,7 +223,6 @@ Result<std::vector<Instance>> ChaseReverseWorlds(const ReverseMapping& mapping,
       triggers = std::move(collected).ValueOrDie();
     }
     ScopedTraceSpan fire_span(options, "fire");
-    std::vector<Value> fixed_values;  // ordered as the probe plan demands
     // Trigger collection is deterministic for a fixed input, so the resumed
     // run's trigger list matches the killed run's and the cursor index is
     // meaningful across processes.
@@ -264,25 +243,29 @@ Result<std::vector<Instance>> ChaseReverseWorlds(const ReverseMapping& mapping,
         options.stats->chase_steps.fetch_add(1, std::memory_order_relaxed);
       }
       // Disjuncts whose equalities are consistent with the trigger.
-      std::vector<size_t> applicable;
+      applicable.clear();
       for (size_t di = 0; di < dep.disjuncts.size(); ++di) {
         if (EqualitiesHold(dep.disjuncts[di], triggers, row)) {
           applicable.push_back(di);
         }
       }
-      std::vector<WorldState> next;
-      for (WorldState& world : worlds) {
+      // A lone ground disjunct needs no probe: it holds iff each of its rows
+      // is already a fact, and AddRow skips exactly those, so firing it
+      // leaves a satisfied world (and `created`) untouched.
+      const bool probe =
+          !options.oblivious &&
+          !(applicable.size() == 1 &&
+            disjunct_exec[applicable.front()].probe.is_ground());
+      next.clear();
+      for (Instance& world : worlds) {
         if (applicable.empty()) continue;  // world dies
-        if (!options.oblivious) {
+        if (probe) {
           bool satisfied = false;
           for (size_t di : applicable) {
             MAPINV_ASSIGN_OR_RETURN(
-                bool sat, disjunct_exec[di].probe.Holds(*world.search, row,
-                                                        &fixed_values));
-            if (sat) {
-              satisfied = true;
-              break;
-            }
+                satisfied, disjunct_exec[di].probe.Holds(
+                               world, options.stats, row, &probe_values));
+            if (satisfied) break;
           }
           if (satisfied) {
             next.push_back(std::move(world));
@@ -294,18 +277,21 @@ Result<std::vector<Instance>> ChaseReverseWorlds(const ReverseMapping& mapping,
         // later writes get copied).
         for (size_t ai = 0; ai < applicable.size(); ++ai) {
           const size_t di = applicable[ai];
-          if (ai + 1 != applicable.size()) MAPINV_FAILPOINT(fp_reverse_fork);
-          WorldState fork = (ai + 1 == applicable.size())
-                                ? std::move(world)
-                                : world.Fork();
+          const bool last = ai + 1 == applicable.size();
+          if (!last) {
+            MAPINV_FAILPOINT(fp_reverse_fork);
+            if (options.stats != nullptr) {
+              options.stats->worlds_forked.fetch_add(
+                  1, std::memory_order_relaxed);
+            }
+          }
+          next.push_back(last ? std::move(world) : world.Fork());
           MAPINV_RETURN_NOT_OK(FireTrigger(
-              disjunct_exec[di].fire, row, /*probe=*/false,
-              fork.instance.get(), &scratch, &created,
-              /*stats=*/nullptr, [](RelationId) {}));
-          next.push_back(std::move(fork));
+              disjunct_exec[di].fire, row, /*probe=*/false, &next.back(),
+              &scratch, &created, /*stats=*/nullptr, [](RelationId) {}));
         }
       }
-      worlds = std::move(next);
+      worlds.swap(next);
       if (worlds.empty()) {  // unsatisfiable
         MAPINV_RETURN_NOT_OK(commit_checkpoint(dep_index, t + 1, true));
         return std::vector<Instance>{};
@@ -346,20 +332,17 @@ Result<std::vector<Instance>> ChaseReverseWorlds(const ReverseMapping& mapping,
   if (!restored_complete) {
     MAPINV_RETURN_NOT_OK(commit_checkpoint(mapping.deps.size(), 0, true));
   }
-  std::vector<Instance> out;
-  out.reserve(worlds.size());
-  for (WorldState& world : worlds) out.push_back(std::move(*world.instance));
   if (options.stats != nullptr) {
     uint64_t bytes = 0;
     uint64_t resident = 0;
-    for (const Instance& world : out) {
+    for (const Instance& world : worlds) {
       bytes += world.ArenaBytes();
       resident += world.ResidentBytes();
     }
     options.stats->ObserveArenaBytes(bytes);
     options.stats->ObserveResidentBytes(resident);
   }
-  return out;
+  return worlds;
 }
 
 Result<Instance> ChaseReverse(const ReverseMapping& mapping,

@@ -24,9 +24,6 @@ Result<Instance> ChaseTgds(const TgdMapping& mapping, const Instance& source,
     target.SetMemoryBudget(options.memory_budget_bytes, options.spill_dir,
                            options.stats);
   }
-  HomSearch target_search(target);
-  target_search.set_stats(options.stats);
-  target_search.set_vector_max_plan_steps(options.vector_max_plan_steps);
   std::vector<Value> fresh;  // per-firing nulls, one per existential var
   // A kPartial stop leaves the chase of a trigger-list prefix in `target`.
   MAPINV_RETURN_NOT_OK(
@@ -39,9 +36,9 @@ Result<Instance> ChaseTgds(const TgdMapping& mapping, const Instance& source,
                                    HomConstraints{}, options, deadline);
           },
           [&](size_t i, const TriggerBatch& triggers) {
-            return TgdConclusion::Compile(mapping.tgds[i], triggers,
-                                          target.schema(), target_search,
-                                          symbols, &fresh, options.oblivious);
+            return TgdConclusion::Compile(mapping.tgds[i], triggers, target,
+                                          options.stats, symbols, &fresh,
+                                          options.oblivious);
           },
           NoRowSink{})
           .status());

@@ -35,6 +35,16 @@ void AppendRowToTail(Segment& tail, const Value* row, uint32_t arity) {
   ++tail.rows;
 }
 
+// A 0-ary relation stores no payload (its one possible row is empty), so
+// its ArenaView reads row 0 from this resident, never-dereferenced segment
+// and the row kernels need no arity-0 branch.
+struct EmptyRowSegment {
+  Value unused;
+  Segment segment;
+  Segment* table[1] = {&segment};
+  EmptyRowSegment() { segment.base.store(&unused, std::memory_order_relaxed); }
+};
+
 }  // namespace
 
 Instance::Store::Store(const Store& other)
@@ -369,6 +379,10 @@ RowView Instance::Row(RelationId relation, TupleRef ref) const {
 Instance::ArenaView Instance::Arena(RelationId relation) const {
   EnsureSlots();
   const Store& store = *stores_[relation];
+  if (store.arity == 0) {
+    static EmptyRowSegment empty_rows;
+    return ArenaView(empty_rows.table, 0);
+  }
   return ArenaView(store.seg_ptrs.data(), store.arity);
 }
 

@@ -72,9 +72,9 @@ struct ResourceLimits {
 };
 
 /// \brief Every ExecStats counter, declared once as X(name, kind), in the
-/// order the renderers emit them (--stats-json, the trace tree, the serve
-/// `metrics` verb). `kind` says how two observations combine: Sum adds, Max
-/// keeps the larger (a high-water mark).
+/// order every renderer emits them (--stats, --stats-json, the trace tree,
+/// the serve `metrics` verb). `kind` says how two observations combine: Sum
+/// adds, Max keeps the larger (a high-water mark).
 ///
 ///   chase_steps             triggers fired by chase engines (a skipped
 ///                           satisfied trigger does not count)
@@ -126,44 +126,28 @@ struct ResourceLimits {
 ///                           instead of being re-derived
 ///   checkpoint_bytes        bytes of checkpoint state written durably
 #define MAPINV_EXEC_STATS_COUNTERS(X) \
-  MAPINV_EXEC_STATS_HEAD(X)           \
-  MAPINV_EXEC_STATS_VECTOR(X)         \
-  MAPINV_EXEC_STATS_FORKS(X)          \
-  MAPINV_EXEC_STATS_TAIL(X)
-
-/// ExecStats::ToString is older than the JSON renderers and prints
-/// worlds_forked right after index_catchup_rows; this order keeps its bytes.
-#define MAPINV_EXEC_STATS_TEXT_ORDER(X) \
-  MAPINV_EXEC_STATS_HEAD(X)             \
-  MAPINV_EXEC_STATS_FORKS(X)            \
-  MAPINV_EXEC_STATS_VECTOR(X)           \
-  MAPINV_EXEC_STATS_TAIL(X)
-
-#define MAPINV_EXEC_STATS_HEAD(X) \
-  X(chase_steps, Sum)             \
-  X(hom_searches, Sum)            \
-  X(hom_backtracks, Sum)          \
-  X(hom_plans_compiled, Sum)      \
-  X(hom_bucket_candidates, Sum)   \
-  X(hom_slot_bindings, Sum)       \
-  X(cache_hits, Sum)              \
-  X(cache_misses, Sum)            \
-  X(tuples_arena_bytes, Max)      \
-  X(index_catchup_rows, Sum)
-#define MAPINV_EXEC_STATS_VECTOR(X) \
-  X(vector_blocks_scanned, Sum)     \
-  X(vector_rows_scanned, Sum)       \
-  X(vector_rows_selected, Sum)      \
-  X(bulk_rows_appended, Sum)
-#define MAPINV_EXEC_STATS_FORKS(X) X(worlds_forked, Sum)
-#define MAPINV_EXEC_STATS_TAIL(X) \
-  X(segments_spilled, Sum)        \
-  X(segments_faulted, Sum)        \
-  X(arena_resident_bytes, Max)    \
-  X(vector_plan_fallbacks, Sum)   \
-  X(segment_faultin_retries, Sum) \
-  X(jobs_checkpointed, Sum)       \
-  X(worlds_resumed, Sum)          \
+  X(chase_steps, Sum)                 \
+  X(hom_searches, Sum)                \
+  X(hom_backtracks, Sum)              \
+  X(hom_plans_compiled, Sum)          \
+  X(hom_bucket_candidates, Sum)       \
+  X(hom_slot_bindings, Sum)           \
+  X(cache_hits, Sum)                  \
+  X(cache_misses, Sum)                \
+  X(tuples_arena_bytes, Max)          \
+  X(index_catchup_rows, Sum)          \
+  X(vector_blocks_scanned, Sum)       \
+  X(vector_rows_scanned, Sum)         \
+  X(vector_rows_selected, Sum)        \
+  X(bulk_rows_appended, Sum)          \
+  X(worlds_forked, Sum)               \
+  X(segments_spilled, Sum)            \
+  X(segments_faulted, Sum)            \
+  X(arena_resident_bytes, Max)        \
+  X(vector_plan_fallbacks, Sum)       \
+  X(segment_faultin_retries, Sum)     \
+  X(jobs_checkpointed, Sum)           \
+  X(worlds_resumed, Sum)              \
   X(checkpoint_bytes, Sum)
 
 /// \brief Plain (non-atomic) copy of ExecStats counters — the unit traded
@@ -255,7 +239,7 @@ struct ExecStats {
     std::string out;
 #define MAPINV_STATS_TEXT(name, kind) \
   out += #name "=" + std::to_string(name.load()) + " ";
-    MAPINV_EXEC_STATS_TEXT_ORDER(MAPINV_STATS_TEXT)
+    MAPINV_EXEC_STATS_COUNTERS(MAPINV_STATS_TEXT)
 #undef MAPINV_STATS_TEXT
     return out + "partial=" + (partial.load() ? "true" : "false");
   }

@@ -101,6 +101,24 @@ TEST(ChaseTgdTest, CertainAnswers) {
   EXPECT_EQ(ans.tuples[0], Tuple({Value::Int(1), Value::Int(5)}));
 }
 
+// A 0-ary relation stores no payload; a premise atom over it must still
+// match its one fact, in both executor shapes.
+TEST(ChaseTgdTest, ZeroAryPremiseAtomMatches) {
+  Tgd tgd;
+  tgd.premise = {Atom("Z", {}), Atom::Vars("R", {"x"})};
+  tgd.conclusion = {Atom::Vars("T", {"x"})};
+  TgdMapping m(Schema{{"Z", 0}, {"R", 1}}, Schema{{"T", 1}}, {tgd});
+  Instance source(m.source);
+  ASSERT_TRUE(source.Add("Z", {}).ok());
+  ASSERT_TRUE(source.AddInts("R", {1}).ok());
+  ASSERT_TRUE(source.AddInts("R", {2}).ok());
+  for (bool vectorized : {true, false}) {
+    ExecutionOptions options;
+    options.vectorized = vectorized;
+    EXPECT_EQ(ChaseTgds(m, source, options)->ToString(), "{ T(1), T(2) }");
+  }
+}
+
 TEST(ChaseTgdTest, ResourceLimitEnforced) {
   TgdMapping m = JoinMapping();
   Instance big(Schema{{"R", 2}, {"S", 2}});

@@ -18,6 +18,7 @@
 #include "engine/eval_cache.h"
 #include "engine/execution_options.h"
 #include "engine/parallel_chase.h"
+#include "engine/request.h"
 #include "engine/thread_pool.h"
 #include "engine/trace.h"
 #include "eval/containment.h"
@@ -473,6 +474,27 @@ TEST(ExecStatsTest, ChaseStreamsCounters) {
   stats.Reset();
   EXPECT_EQ(stats.chase_steps.load(), 0u);
   EXPECT_EQ(stats.ToString().find("chase_steps=0"), 0u);
+}
+
+// --stats text and --stats-json (and with them the trace and the serve
+// `metrics` verb) list the counters in one order.
+TEST(ExecStatsTest, TextAndJsonListCountersInOneOrder) {
+  ExecStats stats;
+  std::vector<std::string> text_keys;
+  const std::string text = stats.ToString();
+  for (size_t at = 0; at < text.size();) {
+    const size_t eq = text.find('=', at);
+    ASSERT_NE(eq, std::string::npos);
+    text_keys.push_back(text.substr(at, eq - at));
+    const size_t space = text.find(' ', eq);
+    at = space == std::string::npos ? text.size() : space + 1;
+  }
+  std::vector<std::string> json_keys;
+  const Json json = StatsToJson(stats.Snapshot());
+  for (const auto& [key, value] : json.AsObject()) {
+    json_keys.push_back(key);
+  }
+  EXPECT_EQ(text_keys, json_keys);
 }
 
 // ---------------------------------------------------------------------------

@@ -330,5 +330,36 @@ TEST(HomPlanTest, CompiledOrderPrefersSmallerRelationOnTies) {
   EXPECT_EQ(p.steps[1].atom_index, 0u);
 }
 
+// A 0-ary relation stores no payload; both executors must still read its
+// one (empty) row, alone and inside a join.
+TEST(HomPlanTest, ZeroAryAtomsMatchTheirOneRow) {
+  Instance inst(Schema{{"Q", 1}, {"Z", 0}, {"E", 0}});
+  ASSERT_TRUE(inst.Add("Z", {}).ok());
+  ASSERT_TRUE(inst.AddInts("Q", {1}).ok());
+  ASSERT_TRUE(inst.AddInts("Q", {2}).ok());
+  for (size_t batch : {size_t{0}, size_t{1024}}) {
+    SCOPED_TRACE(batch);
+    HomSearch search(inst);
+    search.set_vector_batch(batch);
+    auto count = [&](const std::vector<Atom>& atoms) {
+      size_t n = 0;
+      EXPECT_TRUE(search
+                      .ForEachHom(atoms, {}, {},
+                                  [&](const Assignment&) {
+                                    ++n;
+                                    return true;
+                                  })
+                      .ok());
+      return n;
+    };
+    EXPECT_EQ(count({Atom("Z", {})}), 1u);
+    EXPECT_EQ(count({Atom("E", {})}), 0u);
+    EXPECT_EQ(count({Atom::Vars("Q", {"x"}), Atom("Z", {})}), 2u);
+    EXPECT_EQ(count({Atom("Z", {}), Atom::Vars("Q", {"x"})}), 2u);
+    EXPECT_EQ(count({Atom("E", {}), Atom::Vars("Q", {"x"})}), 0u);
+    EXPECT_TRUE(search.ExistsHom({Atom("Z", {})}, {}).ValueOrDie());
+  }
+}
+
 }  // namespace
 }  // namespace mapinv
