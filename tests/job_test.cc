@@ -394,6 +394,37 @@ class JobEnumerationTest : public ::testing::Test {
             .ValueOrDie());
   }
 
+  // A kPartial run cut short by max_worlds commits its sound prefix as
+  // complete: resuming serves those worlds again and chases nothing.
+  template <typename ChaseFn>
+  void ExpectCutShortRunResumesUnchanged(ChaseFn chase) {
+    const std::string dir = MakeJobDir();
+    auto options = [&](SymbolContext* symbols, ExecStats* stats, bool resume) {
+      ExecutionOptions o = Options(symbols, stats);
+      o.checkpoint_dir = dir;
+      o.checkpoint_every = 1;
+      o.resume = resume;
+      o.on_exhausted = OnExhausted::kPartial;
+      o.max_worlds = 1;
+      return o;
+    };
+    SymbolContext symbols;
+    ExecStats stats;
+    Result<std::vector<Instance>> cut = chase(options(&symbols, &stats, false));
+    ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+    ASSERT_TRUE(stats.partial.load());
+    ASSERT_GT(cut->size(), 1u);
+    SymbolContext symbols2;
+    ExecStats stats2;
+    Result<std::vector<Instance>> resumed =
+        chase(options(&symbols2, &stats2, true));
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(RenderWorlds(*resumed), RenderWorlds(*cut));
+    EXPECT_EQ(stats2.worlds_resumed.load(), cut->size());
+    EXPECT_EQ(stats2.chase_steps.load(), 0u);
+    RemoveDir(dir);
+  }
+
   TgdMapping mapping_;
   Instance source_{std::make_shared<Schema>()};
   ReverseMapping reverse_;
@@ -497,6 +528,18 @@ TEST_F(JobEnumerationTest, SOCheckpointedRunMatchesAndResumes) {
   EXPECT_EQ(RenderWorlds(*again), golden);
   EXPECT_GT(stats2.worlds_resumed.load(), 0u);
   RemoveDir(dir);
+}
+
+TEST_F(JobEnumerationTest, CutShortReverseRunResumesWithoutRechasing) {
+  ExpectCutShortRunResumesUnchanged([this](const ExecutionOptions& options) {
+    return ChaseReverseWorlds(reverse_, target_, options);
+  });
+}
+
+TEST_F(JobEnumerationTest, CutShortSORunResumesWithoutRechasing) {
+  ExpectCutShortRunResumesUnchanged([this](const ExecutionOptions& options) {
+    return ChaseSOInverseWorlds(so_inverse_, so_target_, options);
+  });
 }
 
 // ---------------------------------------------------------------------------
