@@ -1,6 +1,7 @@
 /// \file chase_driver.h
-/// \brief The one chase procedure behind ChaseTgds, ChaseDelta and
-/// ChaseSOTgd.
+/// \brief The two chase procedures: RunChase behind ChaseTgds, ChaseDelta
+/// and ChaseSOTgd, and RunWorldChase behind the disjunctive world chases
+/// ChaseReverseWorlds and ChaseSOInverseWorlds.
 ///
 /// Theorem 4.5's "chases like tgds" is literal here: every forward chase is
 /// RunChase, and a mapping language changes only two hooks —
@@ -21,12 +22,20 @@
 /// path, the budget-edge fallback of the bulk path and the reverse chase's
 /// disjunct firing. The hooks are template parameters, so nothing on the
 /// per-trigger or per-row path goes through an indirect call.
+///
+/// RunWorldChase is the same procedure over a frontier of worlds: the
+/// inverse languages' disjunctive conclusions fork a world per branch, and
+/// a variant supplies only its world type (with fork and checkpoint codec)
+/// and a per-dependency branch step. The driver owns trigger collection,
+/// the checkpointed job (open, resume, commit cadence), interrupts and
+/// failpoints, forking, kPartial degradation and the budgets.
 
 #ifndef MAPINV_CHASE_CHASE_DRIVER_H_
 #define MAPINV_CHASE_CHASE_DRIVER_H_
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -42,6 +51,7 @@
 #include "engine/trace.h"
 #include "eval/hom.h"
 #include "eval/hom_plan.h"
+#include "job/job.h"
 #include "logic/dependency.h"
 
 namespace mapinv {
@@ -440,6 +450,258 @@ Result<bool> RunChase(const ChaseSite& site, size_t num_deps,
     options.stats->ObserveResidentBytes(target->ResidentBytes());
   }
   return complete;
+}
+
+/// The observable names and job identity of one world chase.
+struct WorldChaseSite {
+  /// The trace span around the whole chase, and the phase named by
+  /// interrupt and exhaustion errors ("chase_reverse", ...).
+  const char* phase;
+  /// Binds a checkpoint directory to this variant.
+  JobKind job;
+  FailPoint* entry;  ///< hit once, on entry
+  FailPoint* fire;   ///< hit once per trigger
+  FailPoint* fork;   ///< hit once per forked world
+};
+
+/// One dependency of a world chase as its variant compiles it: the premise
+/// and side constraints its triggers are collected under, and the branch
+/// step that applies a trigger to a world (interface at RunWorldChase).
+template <typename Step>
+struct WorldDependency {
+  std::vector<Atom> premise;
+  HomConstraints constraints;
+  Step step;
+};
+
+/// \brief The disjunctive chase of `input` over `num_deps` dependencies:
+/// every trigger takes each world of the frontier to one world per
+/// surviving branch.
+///
+///   mapping                               its ToString() fingerprints a job
+///   ops                                   the world type and its operations
+///     Worlds::World                         a world of the frontier
+///     ops.Fork(world) -> World              a branch's copy of the world
+///     ops.Save(world) -> std::string        its checkpoint image
+///     ops.Load(image) -> Result<World>      the image read back
+///   seed                                  the one world the chase starts from
+///   compile(dep, front, symbols) -> Result<WorldDependency<Step>>
+///       the dependency's premise, constraints and branch step, compiled
+///       against the frontier's first world;
+///   finish(worlds, symbols) -> Result<std::vector<Instance>>
+///       the final frontier as instances, after the final commit.
+///
+/// The step, per trigger row:
+///   step.Branches(row) -> size_t          the trigger's branches, once per
+///                                         trigger (0 drops every world)
+///   step.Satisfied(world, row) -> Result<bool>
+///                                         the world already satisfies the
+///                                         trigger and is kept unchanged
+///   step.Apply(branch, row, &world, &created) -> Result<bool>
+///                                         applies the branch, counting new
+///                                         facts in `created`; false means
+///                                         inconsistent, dropping the world
+///
+/// Budgets are checked after the whole trigger, so a partial stop never
+/// leaves a world with a half-applied trigger: under kPartial the returned
+/// worlds are exactly the chase of a trigger-list prefix, overshooting a
+/// cap by at most one trigger's fan-out. An empty result means every world
+/// was dropped.
+///
+/// With options.checkpoint_dir the run is a durable job (src/job/job.h):
+/// the frontier commits every checkpoint_every triggers, at trigger
+/// boundaries where no world is half-applied, with a cursor on the next
+/// trigger; `options.resume` restores the frontier, the cursor, the facts
+/// created and the null watermark, and continues.
+template <typename Mapping, typename Worlds, typename Compile,
+          typename Finish>
+Result<std::vector<Instance>> RunWorldChase(
+    const WorldChaseSite& site, const Mapping& mapping, size_t num_deps,
+    const Instance& input, const ExecutionOptions& options, Worlds& ops,
+    typename Worlds::World seed, Compile&& compile, Finish&& finish) {
+  using World = typename Worlds::World;
+  ScopedTraceSpan span(options, site.phase);
+  MAPINV_FAILPOINT(*site.entry);
+  ExecDeadline entry_deadline(options.deadline_ms);
+  const ExecDeadline& deadline = CarriedDeadline(options, entry_deadline);
+  SymbolContext& symbols = ResolveSymbols(options, input);
+  ExecStats* const stats = options.stats;
+  HomSearch search(input);
+  search.set_stats(stats);
+  std::vector<World> worlds;
+  worlds.push_back(std::move(seed));
+  size_t created = 0;
+  // Checkpointed-job state. The fingerprint binds the job directory to
+  // these exact inputs; the cursor names the first unprocessed (dependency,
+  // trigger) pair. World images are a pure function of logical content,
+  // which, together with the restored null watermark, makes a killed and
+  // resumed run byte-identical to an uninterrupted one.
+  std::optional<JobCheckpointer> job;
+  size_t resume_dep = 0;
+  uint64_t resume_trigger = 0;
+  bool restored_complete = false;
+  if (!options.checkpoint_dir.empty()) {
+    const uint64_t fingerprint = JobFingerprint(
+        site.job, mapping.ToString(), input.ToString(), options.oblivious);
+    MAPINV_ASSIGN_OR_RETURN(
+        JobCheckpointer opened,
+        JobCheckpointer::Open(options.checkpoint_dir, site.job, fingerprint,
+                              options.resume));
+    job.emplace(std::move(opened));
+    if (job->resumed().has_value()) {
+      const JobResumeState& state = *job->resumed();
+      worlds.clear();
+      for (const std::string& image : state.world_images) {
+        MAPINV_ASSIGN_OR_RETURN(World world, ops.Load(image));
+        worlds.push_back(std::move(world));
+      }
+      created = static_cast<size_t>(state.manifest.created);
+      resume_dep = state.manifest.dep_index;
+      resume_trigger = state.manifest.trigger_index;
+      restored_complete = state.manifest.complete;
+      // Fresh nulls must continue exactly where the killed run left off, or
+      // the facts fired after the cursor would mint labels differing from
+      // the uninterrupted run's.
+      if (state.manifest.null_watermark > 0) {
+        symbols.BumpNullPast(
+            static_cast<uint32_t>(state.manifest.null_watermark - 1));
+      }
+      if (stats != nullptr) {
+        stats->worlds_resumed.fetch_add(state.world_images.size(),
+                                        std::memory_order_relaxed);
+      }
+      // An empty frontier is only ever committed complete (every world was
+      // dropped); honour it rather than chase from nothing.
+      if (worlds.empty()) return std::vector<Instance>{};
+    }
+  }
+  const size_t checkpoint_every = options.checkpoint_every == 0
+                                      ? kDefaultCheckpointEvery
+                                      : options.checkpoint_every;
+  size_t since_commit = 0;
+  auto commit = [&](size_t dep, uint64_t trigger, bool complete) -> Status {
+    if (!job.has_value()) return Status::OK();
+    std::vector<std::string> images;
+    images.reserve(worlds.size());
+    for (const World& world : worlds) images.push_back(ops.Save(world));
+    JobManifest manifest;
+    manifest.complete = complete;
+    manifest.dep_index = static_cast<uint32_t>(dep);
+    manifest.trigger_index = trigger;
+    manifest.created = created;
+    manifest.null_watermark = symbols.NullWatermark();
+    since_commit = 0;
+    return job->Commit(std::move(manifest), images, stats);
+  };
+  // The frontier under construction, reused across triggers: each world
+  // moves into its last branch and forks for the others.
+  std::vector<World> next;
+  bool cut_short = false;
+  // A resumed run re-enters the loop at the checkpointed cursor; a completed
+  // checkpoint skips it entirely (the restored worlds are the answer).
+  for (size_t dep = restored_complete ? num_deps : resume_dep;
+       dep < num_deps && !cut_short; ++dep) {
+    MAPINV_ASSIGN_OR_RETURN(auto compiled,
+                            compile(dep, worlds.front(), symbols));
+    auto& step = compiled.step;
+    TriggerBatch triggers;
+    {
+      ScopedTraceSpan collect_span(options, "collect_triggers");
+      Result<TriggerBatch> collected =
+          CollectTriggers(search, input, compiled.premise,
+                          compiled.constraints, options, deadline);
+      if (!collected.ok()) {
+        if (DegradeToPartial(options, collected.status())) break;
+        return collected.status();
+      }
+      triggers = std::move(collected).ValueOrDie();
+    }
+    ScopedTraceSpan fire_span(options, "fire");
+    // Trigger collection is deterministic for a fixed input, so the resumed
+    // run's trigger list matches the killed run's and the cursor index is
+    // meaningful across processes.
+    for (size_t t = dep == resume_dep ? static_cast<size_t>(resume_trigger) : 0;
+         t < triggers.rows; ++t) {
+      if (Status poll = PollPhaseInterrupt(options, deadline, site.phase);
+          !poll.ok()) {
+        if (!DegradeToPartial(options, poll)) return poll;
+        cut_short = true;
+        break;
+      }
+      MAPINV_FAILPOINT(*site.fire);
+      const Value* row = triggers.Row(t);
+      if (stats != nullptr) {
+        stats->chase_steps.fetch_add(1, std::memory_order_relaxed);
+      }
+      const size_t branches = step.Branches(row);
+      next.clear();
+      for (size_t w = 0; branches > 0 && w < worlds.size(); ++w) {
+        World& world = worlds[w];
+        MAPINV_ASSIGN_OR_RETURN(const bool satisfied,
+                                step.Satisfied(world, row));
+        if (satisfied) {
+          next.push_back(std::move(world));
+          continue;
+        }
+        for (size_t b = 0; b < branches; ++b) {
+          const bool last = b + 1 == branches;
+          if (!last) {
+            MAPINV_FAILPOINT(*site.fork);
+            if (stats != nullptr) {
+              stats->worlds_forked.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          next.push_back(last ? std::move(world) : ops.Fork(world));
+          MAPINV_ASSIGN_OR_RETURN(const bool consistent,
+                                  step.Apply(b, row, &next.back(), &created));
+          if (!consistent) next.pop_back();
+        }
+      }
+      worlds.swap(next);
+      if (worlds.empty()) {
+        MAPINV_RETURN_NOT_OK(commit(dep, t + 1, true));
+        return std::vector<Instance>{};
+      }
+      Status exhausted;
+      if (created > options.max_new_facts) {
+        exhausted = PhaseExhausted(site.phase,
+                                   "exceeded max_new_facts = " +
+                                       std::to_string(options.max_new_facts));
+      } else if (worlds.size() > options.max_worlds) {
+        exhausted = PhaseExhausted(site.phase,
+                                   "exceeded max_worlds = " +
+                                       std::to_string(options.max_worlds));
+      }
+      if (!exhausted.ok()) {
+        if (!DegradeToPartial(options, exhausted)) return exhausted;
+        cut_short = true;
+        break;
+      }
+      if (job.has_value() && ++since_commit >= checkpoint_every) {
+        MAPINV_RETURN_NOT_OK(commit(dep, t + 1, false));
+      }
+    }
+  }
+  // The final commit marks the job complete, before `finish` mints any
+  // null: a resume of a finished job reloads these worlds, chases nothing
+  // and finishes from the same watermark. A cut-short result commits as
+  // complete too, so resuming reproduces the same sound prefix.
+  if (!restored_complete) {
+    MAPINV_RETURN_NOT_OK(commit(num_deps, 0, true));
+  }
+  MAPINV_ASSIGN_OR_RETURN(std::vector<Instance> out,
+                          finish(std::move(worlds), symbols));
+  if (stats != nullptr) {
+    uint64_t bytes = 0;
+    uint64_t resident = 0;
+    for (const Instance& world : out) {
+      bytes += world.ArenaBytes();
+      resident += world.ResidentBytes();
+    }
+    stats->ObserveArenaBytes(bytes);
+    stats->ObserveResidentBytes(resident);
+  }
+  return out;
 }
 
 }  // namespace mapinv

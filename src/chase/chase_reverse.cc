@@ -1,17 +1,13 @@
 #include "chase/chase_reverse.h"
 
 #include <algorithm>
-#include <optional>
 #include <string>
-#include <unordered_set>
+#include <utility>
 
 #include "base/symbol_context.h"
 #include "chase/chase_driver.h"
+#include "chase/round_trip.h"
 #include "engine/failpoint.h"
-#include "engine/parallel_chase.h"
-#include "engine/trace.h"
-#include "eval/hom.h"
-#include "job/job.h"
 
 namespace mapinv {
 
@@ -21,21 +17,14 @@ FailPoint fp_reverse_entry("chase_reverse/entry");
 FailPoint fp_reverse_fire("chase_reverse/fire");
 FailPoint fp_reverse_fork("chase_reverse/world_fork");
 
-// True if every conclusion equality of the disjunct holds under the trigger
-// row (equality endpoints are premise variables by validation, hence
-// trigger columns).
-bool EqualitiesHold(const ReverseDisjunct& disjunct, const TriggerBatch& batch,
-                    const Value* row) {
-  for (const VarPair& eq : disjunct.equalities) {
-    if (row[batch.ColumnOf(eq.first)] != row[batch.ColumnOf(eq.second)]) {
-      return false;
-    }
-  }
-  return true;
-}
+const WorldChaseSite kReverseSite{"chase_reverse", JobKind::kReverseWorlds,
+                                  &fp_reverse_entry, &fp_reverse_fire,
+                                  &fp_reverse_fork};
 
 // Per-disjunct execution state, compiled once per dependency and shared by
 // every world and every trigger:
+//   * equal_cols — the conclusion equalities as trigger-column pairs
+//     (equality endpoints are premise variables by validation),
 //   * probe — the satisfaction check with the disjunct's premise-bound
 //     variables fixed (compiled once, run on any world: probes are
 //     instance-independent); a ground disjunct's probe is a dedup lookup
@@ -43,24 +32,33 @@ bool EqualitiesHold(const ReverseDisjunct& disjunct, const TriggerBatch& batch,
 //   * fire  — the conclusion atoms, column-compiled; the remaining disjunct
 //     variables get fresh nulls in first-occurrence order when firing.
 struct DisjunctExec {
+  std::vector<std::pair<size_t, size_t>> equal_cols;
   SatisfactionProbe probe;
   ColumnConclusion fire;
 };
 
+size_t ColumnOf(const std::vector<VarId>& trigger_vars, VarId v) {
+  return static_cast<size_t>(
+      std::lower_bound(trigger_vars.begin(), trigger_vars.end(), v) -
+      trigger_vars.begin());
+}
+
 Result<DisjunctExec> CompileDisjunct(const ReverseDisjunct& disjunct,
-                                     const std::vector<VarId>& premise_vars,
                                      const std::vector<VarId>& trigger_vars,
                                      const Instance& seed_world,
                                      ExecStats* stats,
                                      const Schema& target_schema,
                                      bool oblivious, SymbolContext& symbols,
                                      std::vector<Value>* fresh) {
-  const std::unordered_set<VarId> premise_set(premise_vars.begin(),
-                                              premise_vars.end());
+  std::vector<std::pair<size_t, size_t>> equal_cols;
+  for (const VarPair& eq : disjunct.equalities) {
+    equal_cols.emplace_back(ColumnOf(trigger_vars, eq.first),
+                            ColumnOf(trigger_vars, eq.second));
+  }
   std::vector<VarId> shared_vars;
   std::vector<VarId> ex_vars;
   for (VarId v : CollectDistinctVars(disjunct.atoms)) {
-    if (premise_set.contains(v)) {
+    if (std::binary_search(trigger_vars.begin(), trigger_vars.end(), v)) {
       shared_vars.push_back(v);
     } else {
       ex_vars.push_back(v);
@@ -78,9 +76,85 @@ Result<DisjunctExec> CompileDisjunct(const ReverseDisjunct& disjunct,
       CompileFireAtomsCols(disjunct.atoms, target_schema, ex_vars,
                            trigger_vars));
   return DisjunctExec{
-      std::move(probe),
+      std::move(equal_cols), std::move(probe),
       ColumnConclusion(std::move(atoms), ex_vars.size(), symbols, fresh)};
 }
+
+// A reverse dependency's branch step (interface at RunWorldChase): a
+// trigger's branches are the disjuncts whose equalities it satisfies; a
+// world where one of them already holds is kept as it is; applying a branch
+// fires its conclusion into the world.
+class ReverseStep {
+ public:
+  ReverseStep(std::vector<DisjunctExec> disjuncts, bool oblivious,
+              ExecStats* stats)
+      : disjuncts_(std::move(disjuncts)), oblivious_(oblivious),
+        stats_(stats) {}
+
+  size_t Branches(const Value* row) {
+    applicable_.clear();
+    for (size_t di = 0; di < disjuncts_.size(); ++di) {
+      const auto& cols = disjuncts_[di].equal_cols;
+      if (std::all_of(cols.begin(), cols.end(), [&](const auto& eq) {
+            return row[eq.first] == row[eq.second];
+          })) {
+        applicable_.push_back(di);
+      }
+    }
+    // A lone ground disjunct needs no probe: it holds iff each of its rows
+    // is already a fact, and AddRow skips exactly those, so firing it
+    // leaves a satisfied world (and `created`) untouched.
+    probe_ = !oblivious_ &&
+             !(applicable_.size() == 1 &&
+               disjuncts_[applicable_.front()].probe.is_ground());
+    return applicable_.size();
+  }
+
+  Result<bool> Satisfied(const Instance& world, const Value* row) {
+    if (!probe_) return false;
+    for (size_t di : applicable_) {
+      MAPINV_ASSIGN_OR_RETURN(
+          const bool holds,
+          disjuncts_[di].probe.Holds(world, stats_, row, &probe_values_));
+      if (holds) return true;
+    }
+    return false;
+  }
+
+  Result<bool> Apply(size_t branch, const Value* row, Instance* world,
+                     size_t* created) {
+    MAPINV_RETURN_NOT_OK(FireTrigger(disjuncts_[applicable_[branch]].fire, row,
+                                     /*probe=*/false, world, &scratch_,
+                                     created, /*stats=*/nullptr,
+                                     [](RelationId) {}));
+    return true;
+  }
+
+ private:
+  std::vector<DisjunctExec> disjuncts_;
+  bool oblivious_;
+  ExecStats* stats_;
+  std::vector<size_t> applicable_;  // this trigger's branches
+  bool probe_ = false;              // whether this trigger probes
+  std::vector<Value> scratch_;
+  std::vector<Value> probe_values_;
+};
+
+// Reverse worlds are instances: a fork is a copy-on-write snapshot that
+// shares every relation store with its parent until one of them writes, so
+// linear lineages never copy tuples and branching copies only the relations
+// a branch actually extends. They checkpoint through the MAPINVSN snapshot
+// codec.
+struct InstanceWorlds {
+  using World = Instance;
+  static Instance Fork(const Instance& world) { return world.Fork(); }
+  static std::string Save(const Instance& world) {
+    return world.SaveToBytes();
+  }
+  static Result<Instance> Load(const std::string& image) {
+    return Instance::LoadFromBytes(image.data(), image.size());
+  }
+};
 
 }  // namespace
 
@@ -91,258 +165,40 @@ Result<std::vector<Instance>> ChaseReverseWorlds(const ReverseMapping& mapping,
     return Status::Unsupported(
         "reverse chase requires disjoint premise/conclusion schemas");
   }
-  ScopedTraceSpan span(options, "chase_reverse");
-  MAPINV_FAILPOINT(fp_reverse_entry);
-  ExecDeadline entry_deadline(options.deadline_ms);
-  const ExecDeadline& deadline = CarriedDeadline(options, entry_deadline);
-  SymbolContext& symbols = ResolveSymbols(options, input);
-  HomSearch search(input);
-  search.set_stats(options.stats);
-  // Forking a world is a copy-on-write snapshot: the fork shares every
-  // relation store with its parent until one of them writes, so linear
-  // lineages never copy tuples and branching copies only the relations a
-  // branch actually extends.
-  std::vector<Instance> worlds;
-  worlds.emplace_back(mapping.target);
-  size_t created = 0;
-  // Checkpointed-job state (see src/job/job.h). The fingerprint binds the
-  // job directory to these exact inputs; the cursor names the first
-  // unprocessed (dependency, trigger) pair. Restored worlds come back
-  // through the MAPINVSN snapshot codec, whose images are a pure function of
-  // logical content — which, together with the restored null watermark, is
-  // what makes a killed-and-resumed run byte-identical to an uninterrupted
-  // one.
-  std::optional<JobCheckpointer> job;
-  size_t resume_dep = 0;
-  uint64_t resume_trigger = 0;
-  bool restored_complete = false;
-  if (!options.checkpoint_dir.empty()) {
-    const uint64_t fingerprint =
-        JobFingerprint(JobKind::kReverseWorlds, mapping.ToString(),
-                       input.ToString(), options.oblivious);
-    MAPINV_ASSIGN_OR_RETURN(
-        JobCheckpointer opened,
-        JobCheckpointer::Open(options.checkpoint_dir, JobKind::kReverseWorlds,
-                              fingerprint, options.resume));
-    job.emplace(std::move(opened));
-    if (job->resumed().has_value()) {
-      const JobResumeState& state = *job->resumed();
-      worlds.clear();
-      for (const std::string& image : state.world_images) {
-        MAPINV_ASSIGN_OR_RETURN(
-            Instance world, Instance::LoadFromBytes(image.data(), image.size()));
-        worlds.push_back(std::move(world));
-      }
-      created = static_cast<size_t>(state.manifest.created);
-      resume_dep = state.manifest.dep_index;
-      resume_trigger = state.manifest.trigger_index;
-      restored_complete = state.manifest.complete;
-      // Fresh nulls must continue exactly where the killed run left off, or
-      // the facts fired after the cursor would mint labels differing from
-      // the uninterrupted run's.
-      if (state.manifest.null_watermark > 0) {
-        symbols.BumpNullPast(
-            static_cast<uint32_t>(state.manifest.null_watermark - 1));
-      }
-      if (options.stats != nullptr) {
-        options.stats->worlds_resumed.fetch_add(state.world_images.size(),
-                                                std::memory_order_relaxed);
-      }
-      // An empty frontier is only ever committed complete (the
-      // unsatisfiable outcome); honour it rather than chase from nothing.
-      if (worlds.empty()) return std::vector<Instance>{};
-    }
-  }
-  const size_t checkpoint_every = options.checkpoint_every == 0
-                                      ? kDefaultCheckpointEvery
-                                      : options.checkpoint_every;
-  size_t since_commit = 0;
-  auto commit_checkpoint = [&](size_t dep_index, uint64_t trigger_index,
-                               bool complete) -> Status {
-    if (!job.has_value()) return Status::OK();
-    std::vector<std::string> images;
-    images.reserve(worlds.size());
-    for (const Instance& world : worlds) images.push_back(world.SaveToBytes());
-    JobManifest manifest;
-    manifest.complete = complete;
-    manifest.dep_index = static_cast<uint32_t>(dep_index);
-    manifest.trigger_index = trigger_index;
-    manifest.created = created;
-    manifest.null_watermark = symbols.NullWatermark();
-    since_commit = 0;
-    return job->Commit(std::move(manifest), images, options.stats);
-  };
-  std::vector<Value> fresh;
-  std::vector<Value> scratch;
-  std::vector<Value> probe_values;
-  // Per-trigger buffers, reused across triggers: the disjuncts whose
-  // equalities the trigger satisfies, and the frontier under construction.
-  std::vector<size_t> applicable;
-  std::vector<Instance> next;
-  // In kPartial mode exhaustion degrades at whole-trigger granularity: every
-  // world finishes the current trigger before the run stops, so the returned
-  // worlds are exactly the chase of a trigger-list prefix (no world has a
-  // half-applied disjunct). Limit checks are deferred to the end of the
-  // trigger for the same reason; the overshoot is bounded by one trigger's
-  // fan-out (|worlds| x |applicable disjuncts|).
-  bool cut_short = false;
-  // A resumed run re-enters the loop at the checkpointed cursor; a completed
-  // checkpoint skips it entirely (the restored worlds are the answer).
-  for (size_t dep_index = restored_complete ? mapping.deps.size() : resume_dep;
-       dep_index < mapping.deps.size(); ++dep_index) {
-    const ReverseDependency& dep = mapping.deps[dep_index];
-    HomConstraints constraints;
-    constraints.constant_vars.insert(dep.constant_vars.begin(),
-                                     dep.constant_vars.end());
-    constraints.inequalities = dep.inequalities;
-    // Compiled once per dependency: satisfaction plans and fire programs are
-    // shared across all worlds and triggers (plans are instance-independent,
-    // and every world has the same target schema).
-    const std::vector<VarId> premise_vars = CollectDistinctVars(dep.premise);
-    std::vector<VarId> trigger_vars = premise_vars;  // TriggerBatch columns
-    std::sort(trigger_vars.begin(), trigger_vars.end());
-    std::vector<DisjunctExec> disjunct_exec;
-    disjunct_exec.reserve(dep.disjuncts.size());
-    for (const ReverseDisjunct& d : dep.disjuncts) {
-      MAPINV_ASSIGN_OR_RETURN(
-          DisjunctExec exec,
-          CompileDisjunct(d, premise_vars, trigger_vars, worlds.front(),
-                          options.stats, *mapping.target, options.oblivious,
-                          symbols, &fresh));
-      disjunct_exec.push_back(std::move(exec));
-    }
-    TriggerBatch triggers;
-    {
-      ScopedTraceSpan collect_span(options, "collect_triggers");
-      Result<TriggerBatch> collected = CollectTriggers(
-          search, input, dep.premise, constraints, options, deadline);
-      if (!collected.ok()) {
-        if (DegradeToPartial(options, collected.status())) break;
-        return collected.status();
-      }
-      triggers = std::move(collected).ValueOrDie();
-    }
-    ScopedTraceSpan fire_span(options, "fire");
-    // Trigger collection is deterministic for a fixed input, so the resumed
-    // run's trigger list matches the killed run's and the cursor index is
-    // meaningful across processes.
-    const size_t first_trigger =
-        dep_index == resume_dep ? static_cast<size_t>(resume_trigger) : 0;
-    for (size_t t = first_trigger; t < triggers.rows; ++t) {
-      if (Status poll = PollPhaseInterrupt(options, deadline, "chase_reverse");
-          !poll.ok()) {
-        if (DegradeToPartial(options, poll)) {
-          cut_short = true;
-          break;
+  InstanceWorlds ops;
+  std::vector<Value> fresh;  // one firing's fresh nulls, shared by disjuncts
+  return RunWorldChase(
+      kReverseSite, mapping, mapping.deps.size(), input, options, ops,
+      Instance(mapping.target),
+      [&](size_t i, const Instance& front, SymbolContext& symbols)
+          -> Result<WorldDependency<ReverseStep>> {
+        // Compiled once per dependency: satisfaction plans and fire
+        // programs are shared across all worlds and triggers (plans are
+        // instance-independent, and every world has the same schema).
+        const ReverseDependency& dep = mapping.deps[i];
+        HomConstraints constraints;
+        constraints.constant_vars.insert(dep.constant_vars.begin(),
+                                         dep.constant_vars.end());
+        constraints.inequalities = dep.inequalities;
+        std::vector<VarId> trigger_vars = CollectDistinctVars(dep.premise);
+        std::sort(trigger_vars.begin(), trigger_vars.end());
+        std::vector<DisjunctExec> disjuncts;
+        disjuncts.reserve(dep.disjuncts.size());
+        for (const ReverseDisjunct& d : dep.disjuncts) {
+          MAPINV_ASSIGN_OR_RETURN(
+              DisjunctExec exec,
+              CompileDisjunct(d, trigger_vars, front, options.stats,
+                              *mapping.target, options.oblivious, symbols,
+                              &fresh));
+          disjuncts.push_back(std::move(exec));
         }
-        return poll;
-      }
-      MAPINV_FAILPOINT(fp_reverse_fire);
-      const Value* row = triggers.Row(t);
-      if (options.stats != nullptr) {
-        options.stats->chase_steps.fetch_add(1, std::memory_order_relaxed);
-      }
-      // Disjuncts whose equalities are consistent with the trigger.
-      applicable.clear();
-      for (size_t di = 0; di < dep.disjuncts.size(); ++di) {
-        if (EqualitiesHold(dep.disjuncts[di], triggers, row)) {
-          applicable.push_back(di);
-        }
-      }
-      // A lone ground disjunct needs no probe: it holds iff each of its rows
-      // is already a fact, and AddRow skips exactly those, so firing it
-      // leaves a satisfied world (and `created`) untouched.
-      const bool probe =
-          !options.oblivious &&
-          !(applicable.size() == 1 &&
-            disjunct_exec[applicable.front()].probe.is_ground());
-      next.clear();
-      for (Instance& world : worlds) {
-        if (applicable.empty()) continue;  // world dies
-        if (probe) {
-          bool satisfied = false;
-          for (size_t di : applicable) {
-            MAPINV_ASSIGN_OR_RETURN(
-                satisfied, disjunct_exec[di].probe.Holds(
-                               world, options.stats, row, &probe_values));
-            if (satisfied) break;
-          }
-          if (satisfied) {
-            next.push_back(std::move(world));
-            continue;
-          }
-        }
-        // The last applicable disjunct reuses the world in place; earlier
-        // ones fork a snapshot (copy-on-write: only relations the branch
-        // later writes get copied).
-        for (size_t ai = 0; ai < applicable.size(); ++ai) {
-          const size_t di = applicable[ai];
-          const bool last = ai + 1 == applicable.size();
-          if (!last) {
-            MAPINV_FAILPOINT(fp_reverse_fork);
-            if (options.stats != nullptr) {
-              options.stats->worlds_forked.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-          }
-          next.push_back(last ? std::move(world) : world.Fork());
-          MAPINV_RETURN_NOT_OK(FireTrigger(
-              disjunct_exec[di].fire, row, /*probe=*/false, &next.back(),
-              &scratch, &created, /*stats=*/nullptr, [](RelationId) {}));
-        }
-      }
-      worlds.swap(next);
-      if (worlds.empty()) {  // unsatisfiable
-        MAPINV_RETURN_NOT_OK(commit_checkpoint(dep_index, t + 1, true));
-        return std::vector<Instance>{};
-      }
-      // Limit checks deferred to the end of the trigger so a partial stop
-      // never leaves a world with a half-applied trigger.
-      Status exhausted;
-      if (created > options.max_new_facts) {
-        exhausted =
-            PhaseExhausted("chase_reverse",
-                           "exceeded max_new_facts = " +
-                               std::to_string(options.max_new_facts));
-      } else if (worlds.size() > options.max_worlds) {
-        exhausted = PhaseExhausted("chase_reverse",
-                                   "exceeded max_worlds = " +
-                                       std::to_string(options.max_worlds));
-      }
-      if (!exhausted.ok()) {
-        if (DegradeToPartial(options, exhausted)) {
-          cut_short = true;
-          break;
-        }
-        return exhausted;
-      }
-      // The frontier is consistent exactly at trigger boundaries (no world
-      // carries a half-applied disjunct here), so this is where the job
-      // commits; the cursor points at the next unprocessed trigger.
-      if (job.has_value() && ++since_commit >= checkpoint_every) {
-        MAPINV_RETURN_NOT_OK(commit_checkpoint(dep_index, t + 1, false));
-      }
-    }
-    if (cut_short) break;
-  }
-  // The final commit marks the job complete: a resume of a finished job
-  // reloads these worlds without re-chasing anything. Partial (cut-short)
-  // results commit as complete too — resuming reproduces the same sound
-  // prefix deterministically.
-  if (!restored_complete) {
-    MAPINV_RETURN_NOT_OK(commit_checkpoint(mapping.deps.size(), 0, true));
-  }
-  if (options.stats != nullptr) {
-    uint64_t bytes = 0;
-    uint64_t resident = 0;
-    for (const Instance& world : worlds) {
-      bytes += world.ArenaBytes();
-      resident += world.ResidentBytes();
-    }
-    options.stats->ObserveArenaBytes(bytes);
-    options.stats->ObserveResidentBytes(resident);
-  }
-  return worlds;
+        return WorldDependency<ReverseStep>{
+            dep.premise, std::move(constraints),
+            ReverseStep(std::move(disjuncts), options.oblivious,
+                        options.stats)};
+      },
+      [](std::vector<Instance> worlds, SymbolContext&)
+          -> Result<std::vector<Instance>> { return worlds; });
 }
 
 Result<Instance> ChaseReverse(const ReverseMapping& mapping,
@@ -371,24 +227,7 @@ Result<AnswerSet> CertainAnswersReverse(const ReverseMapping& mapping,
                                         const ExecutionOptions& options) {
   MAPINV_ASSIGN_OR_RETURN(std::vector<Instance> worlds,
                           ChaseReverseWorlds(mapping, input, options));
-  if (worlds.empty()) {
-    return Status::Malformed(
-        "no world: reverse dependencies unsatisfiable on input");
-  }
-  bool first = true;
-  AnswerSet certain;
-  for (const Instance& world : worlds) {
-    MAPINV_ASSIGN_OR_RETURN(AnswerSet answers,
-                            EvaluateCq(query, world, options.stats));
-    AnswerSet c = answers.CertainOnly();
-    if (first) {
-      certain = std::move(c);
-      first = false;
-    } else {
-      certain = certain.Intersect(c);
-    }
-  }
-  return certain;
+  return CertainOverWorlds(worlds, query, options.stats);
 }
 
 }  // namespace mapinv

@@ -583,25 +583,25 @@ Result<uint32_t> TermNode(const Term& term, const std::vector<VarId>& vars,
   return Status::Internal("unreachable term kind");
 }
 
-// Tries to apply `disjunct` under a trigger row in `world`; on success
-// returns the extended world, otherwise nullopt.
-Result<std::optional<World>> ApplyDisjunct(const SOInvDisjunct& disjunct,
-                                           const std::vector<VarId>& vars,
-                                           const Value* row, World world) {
+// Applies `disjunct` under a trigger row to `world`; false when the
+// disjunct is inconsistent with the world (which is then left half-applied).
+Result<bool> ApplyDisjunct(const SOInvDisjunct& disjunct,
+                           const std::vector<VarId>& vars, const Value* row,
+                           World* world) {
   std::unordered_map<VarId, uint32_t> local;
   for (const TermEq& eq : disjunct.equalities) {
     MAPINV_ASSIGN_OR_RETURN(uint32_t a,
-                            TermNode(eq.lhs, vars, row, &local, &world.store));
+                            TermNode(eq.lhs, vars, row, &local, &world->store));
     MAPINV_ASSIGN_OR_RETURN(uint32_t b,
-                            TermNode(eq.rhs, vars, row, &local, &world.store));
-    if (!world.store.Union(a, b)) return std::optional<World>{};
+                            TermNode(eq.rhs, vars, row, &local, &world->store));
+    if (!world->store.Union(a, b)) return false;
   }
   for (const TermEq& ne : disjunct.inequalities) {
     MAPINV_ASSIGN_OR_RETURN(uint32_t a,
-                            TermNode(ne.lhs, vars, row, &local, &world.store));
+                            TermNode(ne.lhs, vars, row, &local, &world->store));
     MAPINV_ASSIGN_OR_RETURN(uint32_t b,
-                            TermNode(ne.rhs, vars, row, &local, &world.store));
-    if (!world.store.AddDisequality(a, b)) return std::optional<World>{};
+                            TermNode(ne.rhs, vars, row, &local, &world->store));
+    if (!world->store.AddDisequality(a, b)) return false;
   }
   for (const Atom& atom : disjunct.atoms) {
     SymFact f;
@@ -609,12 +609,12 @@ Result<std::optional<World>> ApplyDisjunct(const SOInvDisjunct& disjunct,
     f.nodes.reserve(atom.terms.size());
     for (const Term& t : atom.terms) {
       MAPINV_ASSIGN_OR_RETURN(
-          uint32_t n, TermNode(t, vars, row, &local, &world.store));
+          uint32_t n, TermNode(t, vars, row, &local, &world->store));
       f.nodes.push_back(n);
     }
-    world.facts.push_back(std::move(f));
+    world->facts.push_back(std::move(f));
   }
-  return std::optional<World>(std::move(world));
+  return true;
 }
 
 Result<Instance> Materialize(const World& world,
@@ -643,219 +643,95 @@ Result<Instance> Materialize(const World& world,
   return out;
 }
 
+// An SO-inverse rule's branch step (interface at RunWorldChase): every
+// disjunct is a branch, no world already satisfies a trigger, and applying
+// a branch extends the world's term store and symbolic facts, or finds the
+// branch inconsistent and drops the world. Each applied disjunct's atoms
+// count as created facts.
+class SOInverseStep {
+ public:
+  explicit SOInverseStep(const SOInverseRule& rule)
+      : rule_(&rule), vars_(CollectDistinctVars({rule.premise})) {
+    std::sort(vars_.begin(), vars_.end());  // the TriggerBatch columns
+  }
+
+  size_t Branches(const Value*) const { return rule_->disjuncts.size(); }
+
+  Result<bool> Satisfied(const World&, const Value*) const { return false; }
+
+  Result<bool> Apply(size_t branch, const Value* row, World* world,
+                     size_t* created) const {
+    const SOInvDisjunct& disjunct = rule_->disjuncts[branch];
+    MAPINV_ASSIGN_OR_RETURN(const bool consistent,
+                            ApplyDisjunct(disjunct, vars_, row, world));
+    if (consistent) *created += disjunct.atoms.size();
+    return consistent;
+  }
+
+ private:
+  const SOInverseRule* rule_;
+  std::vector<VarId> vars_;
+};
+
+// Symbolic worlds fork by copy and checkpoint through the MAPINVSW codec
+// above. Loading resolves function names through the mapping's own
+// symbols, collected on the first load.
+class SymbolicWorlds {
+ public:
+  using World = mapinv::World;
+
+  explicit SymbolicWorlds(const SOInverseMapping& mapping)
+      : mapping_(&mapping) {}
+
+  static World Fork(const World& world) { return world; }
+  static std::string Save(const World& world) { return WorldToBytes(world); }
+  Result<World> Load(const std::string& image) {
+    if (!fn_by_name_.has_value()) {
+      fn_by_name_ = MappingFunctionNames(*mapping_);
+    }
+    return WorldFromBytes(image, *fn_by_name_);
+  }
+
+ private:
+  const SOInverseMapping* mapping_;
+  std::optional<std::unordered_map<std::string, FunctionId>> fn_by_name_;
+};
+
+const WorldChaseSite kSOInverseSite{
+    "chase_so_inverse", JobKind::kSOInverseWorlds, &fp_so_inv_entry,
+    &fp_so_inv_fire, &fp_so_inv_fork};
+
 }  // namespace
 
 Result<std::vector<Instance>> ChaseSOInverseWorlds(
     const SOInverseMapping& mapping, const Instance& input,
     const ExecutionOptions& options) {
-  ScopedTraceSpan span(options, "chase_so_inverse");
-  MAPINV_FAILPOINT(fp_so_inv_entry);
-  ExecDeadline entry_deadline(options.deadline_ms);
-  const ExecDeadline& deadline = CarriedDeadline(options, entry_deadline);
-  SymbolContext& symbols = ResolveSymbols(options, input);
-  HomSearch search(input);
-  search.set_stats(options.stats);
-  std::vector<World> worlds(1);
-  // Checkpointed-job state (see src/job/job.h and ChaseReverseWorlds, whose
-  // protocol this mirrors). Symbolic worlds persist through the MAPINVSW
-  // codec above; nulls are only minted by Materialize, after the final
-  // commit, so the restored watermark makes materialized output of a resumed
-  // run byte-identical to an uninterrupted one.
-  std::optional<JobCheckpointer> job;
-  size_t resume_rule = 0;
-  uint64_t resume_trigger = 0;
-  bool restored_complete = false;
-  if (!options.checkpoint_dir.empty()) {
-    const uint64_t fingerprint =
-        JobFingerprint(JobKind::kSOInverseWorlds, mapping.ToString(),
-                       input.ToString(), options.oblivious);
-    MAPINV_ASSIGN_OR_RETURN(
-        JobCheckpointer opened,
-        JobCheckpointer::Open(options.checkpoint_dir,
-                              JobKind::kSOInverseWorlds, fingerprint,
-                              options.resume));
-    job.emplace(std::move(opened));
-    if (job->resumed().has_value()) {
-      const JobResumeState& state = *job->resumed();
-      const std::unordered_map<std::string, FunctionId> fn_by_name =
-          MappingFunctionNames(mapping);
-      worlds.clear();
-      for (const std::string& image : state.world_images) {
-        MAPINV_ASSIGN_OR_RETURN(World world,
-                                WorldFromBytes(image, fn_by_name));
-        worlds.push_back(std::move(world));
-      }
-      resume_rule = state.manifest.dep_index;
-      resume_trigger = state.manifest.trigger_index;
-      restored_complete = state.manifest.complete;
-      if (state.manifest.null_watermark > 0) {
-        symbols.BumpNullPast(
-            static_cast<uint32_t>(state.manifest.null_watermark - 1));
-      }
-      if (options.stats != nullptr) {
-        options.stats->worlds_resumed.fetch_add(state.world_images.size(),
-                                                std::memory_order_relaxed);
-      }
-      // An empty frontier is only ever committed complete (the inconsistent
-      // outcome); honour it rather than chase from nothing.
-      if (worlds.empty()) return std::vector<Instance>{};
-    }
-  }
-  const size_t checkpoint_every = options.checkpoint_every == 0
-                                      ? kDefaultCheckpointEvery
-                                      : options.checkpoint_every;
-  size_t since_commit = 0;
-  auto commit_checkpoint = [&](size_t rule_index, uint64_t trigger_index,
-                               bool complete) -> Status {
-    if (!job.has_value()) return Status::OK();
-    std::vector<std::string> images;
-    images.reserve(worlds.size());
-    for (const World& world : worlds) images.push_back(WorldToBytes(world));
-    JobManifest manifest;
-    manifest.complete = complete;
-    manifest.dep_index = static_cast<uint32_t>(rule_index);
-    manifest.trigger_index = trigger_index;
-    manifest.null_watermark = symbols.NullWatermark();
-    since_commit = 0;
-    return job->Commit(std::move(manifest), images, options.stats);
-  };
-  // kPartial degrades at whole-trigger granularity: every world finishes the
-  // current trigger before the run stops (see ChaseReverseWorlds).
-  bool cut_short = false;
-  for (size_t rule_index =
-           restored_complete ? mapping.inverse.rules.size() : resume_rule;
-       rule_index < mapping.inverse.rules.size(); ++rule_index) {
-    const SOInverseRule& rule = mapping.inverse.rules[rule_index];
-    HomConstraints constraints;
-    constraints.constant_vars.insert(rule.constant_vars.begin(),
-                                     rule.constant_vars.end());
-    TriggerBatch triggers;
-    {
-      ScopedTraceSpan collect_span(options, "collect_triggers");
-      Result<TriggerBatch> collected = CollectTriggers(
-          search, input, {rule.premise}, constraints, options, deadline);
-      if (!collected.ok()) {
-        if (DegradeToPartial(options, collected.status())) break;
-        return collected.status();
-      }
-      triggers = std::move(collected).ValueOrDie();
-    }
-    ScopedTraceSpan fire_span(options, "fire");
-    // Trigger collection is deterministic for a fixed input, so the cursor
-    // index is meaningful across processes (see ChaseReverseWorlds).
-    const size_t first_trigger =
-        rule_index == resume_rule ? static_cast<size_t>(resume_trigger) : 0;
-    for (size_t t = first_trigger; t < triggers.rows; ++t) {
-      if (Status poll =
-              PollPhaseInterrupt(options, deadline, "chase_so_inverse");
-          !poll.ok()) {
-        if (DegradeToPartial(options, poll)) {
-          cut_short = true;
-          break;
+  const std::vector<SOInverseRule>& rules = mapping.inverse.rules;
+  SymbolicWorlds ops(mapping);
+  return RunWorldChase(
+      kSOInverseSite, mapping, rules.size(), input, options, ops, World{},
+      [&](size_t i, const World&, SymbolContext&)
+          -> Result<WorldDependency<SOInverseStep>> {
+        HomConstraints constraints;
+        constraints.constant_vars.insert(rules[i].constant_vars.begin(),
+                                         rules[i].constant_vars.end());
+        return WorldDependency<SOInverseStep>{{rules[i].premise},
+                                              std::move(constraints),
+                                              SOInverseStep(rules[i])};
+      },
+      // Nulls are minted only here, after the final commit, so a resumed
+      // run materializes from the restored watermark byte for byte.
+      [&](std::vector<World> worlds, SymbolContext& symbols)
+          -> Result<std::vector<Instance>> {
+        std::vector<Instance> out;
+        out.reserve(worlds.size());
+        for (const World& w : worlds) {
+          MAPINV_ASSIGN_OR_RETURN(Instance inst,
+                                  Materialize(w, mapping.target, symbols));
+          out.push_back(std::move(inst));
         }
-        return poll;
-      }
-      MAPINV_FAILPOINT(fp_so_inv_fire);
-      const Value* row = triggers.Row(t);
-      if (options.stats != nullptr) {
-        options.stats->chase_steps.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::vector<World> next;
-      for (World& world : worlds) {
-        for (size_t di = 0; di < rule.disjuncts.size(); ++di) {
-          const SOInvDisjunct& d = rule.disjuncts[di];
-          // The last disjunct consumes the world; earlier ones fork a copy
-          // of the symbolic store (counted as a world fork).
-          const bool last = di + 1 == rule.disjuncts.size();
-          if (!last) {
-            MAPINV_FAILPOINT(fp_so_inv_fork);
-            if (options.stats != nullptr) {
-              options.stats->worlds_forked.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-          }
-          MAPINV_ASSIGN_OR_RETURN(
-              std::optional<World> applied,
-              ApplyDisjunct(d, triggers.vars, row,
-                            last ? std::move(world) : World(world)));
-          if (applied.has_value()) next.push_back(std::move(*applied));
-        }
-      }
-      worlds = std::move(next);
-      if (worlds.empty()) {  // inconsistent in every disjunct
-        MAPINV_RETURN_NOT_OK(commit_checkpoint(rule_index, t + 1, true));
-        return std::vector<Instance>{};
-      }
-      // Checked after the whole trigger (see ChaseReverseWorlds): a partial
-      // stop never leaves a world with a half-applied trigger.
-      if (worlds.size() > options.max_worlds) {
-        Status exhausted =
-            PhaseExhausted("chase_so_inverse",
-                           "exceeded max_worlds = " +
-                               std::to_string(options.max_worlds));
-        if (DegradeToPartial(options, exhausted)) {
-          cut_short = true;
-          break;
-        }
-        return exhausted;
-      }
-      // The frontier is consistent exactly at trigger boundaries; commit
-      // here, with the cursor on the next unprocessed trigger.
-      if (job.has_value() && ++since_commit >= checkpoint_every) {
-        MAPINV_RETURN_NOT_OK(commit_checkpoint(rule_index, t + 1, false));
-      }
-    }
-    if (cut_short) break;
-  }
-  // Final commit marks the job complete — deliberately *before* Materialize
-  // mints nulls, so a resume of a finished job re-materializes from the same
-  // watermark and reproduces the output byte for byte.
-  if (!restored_complete) {
-    MAPINV_RETURN_NOT_OK(
-        commit_checkpoint(mapping.inverse.rules.size(), 0, true));
-  }
-  std::vector<Instance> out;
-  out.reserve(worlds.size());
-  for (const World& w : worlds) {
-    MAPINV_ASSIGN_OR_RETURN(Instance inst,
-                            Materialize(w, mapping.target, symbols));
-    out.push_back(std::move(inst));
-  }
-  if (options.stats != nullptr) {
-    uint64_t bytes = 0;
-    uint64_t resident = 0;
-    for (const Instance& inst : out) {
-      bytes += inst.ArenaBytes();
-      resident += inst.ResidentBytes();
-    }
-    options.stats->ObserveArenaBytes(bytes);
-    options.stats->ObserveResidentBytes(resident);
-  }
-  return out;
-}
-
-Result<AnswerSet> CertainAnswersSOInverse(const SOInverseMapping& mapping,
-                                          const Instance& input,
-                                          const ConjunctiveQuery& query,
-                                          const ExecutionOptions& options) {
-  MAPINV_ASSIGN_OR_RETURN(std::vector<Instance> worlds,
-                          ChaseSOInverseWorlds(mapping, input, options));
-  if (worlds.empty()) {
-    return Status::Malformed("SO-inverse chase: no consistent world");
-  }
-  bool first = true;
-  AnswerSet certain;
-  for (const Instance& world : worlds) {
-    MAPINV_ASSIGN_OR_RETURN(AnswerSet answers, EvaluateCq(query, world));
-    AnswerSet c = answers.CertainOnly();
-    if (first) {
-      certain = std::move(c);
-      first = false;
-    } else {
-      certain = certain.Intersect(c);
-    }
-  }
-  return certain;
+        return out;
+      });
 }
 
 }  // namespace mapinv

@@ -65,14 +65,15 @@ Result<AnswerSet> RoundTripCertainSO(const SOTgdMapping& mapping,
 }
 
 Result<AnswerSet> CertainOverWorlds(const std::vector<Instance>& worlds,
-                                    const ConjunctiveQuery& query) {
+                                    const ConjunctiveQuery& query,
+                                    ExecStats* stats) {
   if (worlds.empty()) {
     return Status::Malformed("certain answers over an empty world set");
   }
   bool first = true;
   AnswerSet certain;
   for (const Instance& world : worlds) {
-    MAPINV_ASSIGN_OR_RETURN(AnswerSet answers, EvaluateCq(query, world));
+    MAPINV_ASSIGN_OR_RETURN(AnswerSet answers, EvaluateCq(query, world, stats));
     AnswerSet c = answers.CertainOnly();
     if (first) {
       certain = std::move(c);

@@ -66,9 +66,10 @@ Result<AnswerSet> RoundTripCertainSO(const SOTgdMapping& mapping,
                                      const ExecutionOptions& options = {});
 
 /// \brief Intersection of per-world certain answers of `query`; fails on an
-/// empty world set.
+/// empty world set. `stats` (may be null) counts the query evaluations.
 Result<AnswerSet> CertainOverWorlds(const std::vector<Instance>& worlds,
-                                    const ConjunctiveQuery& query);
+                                    const ConjunctiveQuery& query,
+                                    ExecStats* stats = nullptr);
 
 }  // namespace mapinv
 

@@ -167,6 +167,26 @@ TEST(ChaseSOInverseTest, WorldCapIsEnforced) {
             StatusCode::kResourceExhausted);
 }
 
+TEST(ChaseSOInverseTest, FactLimitIsEnforced) {
+  // Each applied disjunct appends one symbolic fact: the third trigger
+  // brings the total to 2 + 4 + 8 = 14 > 10.
+  SOTgdMapping m =
+      ParseSOTgdMapping("A(x) -> T(f(x))\nB(x) -> T(g(x))").ValueOrDie();
+  SOInverseMapping inv = PolySOInverse(m).ValueOrDie();
+  Instance target(*m.target);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(target.Add("T", {Value::NullWithLabel(100 + i)}).ok());
+  }
+  ExecutionOptions tight;
+  tight.max_new_facts = 10;
+  const Status status = ChaseSOInverseWorlds(inv, target, tight).status();
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(status.ToString().find("chase_so_inverse"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.ToString().find("max_new_facts = 10"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(ChaseSOTgdTest, FactLimitEnforced) {
   SOTgdMapping m = ParseSOTgdMapping("A(x,y) -> T(x,f(y))").ValueOrDie();
   Instance source(*m.source);
